@@ -124,6 +124,17 @@ def _parse_b_range(text: str) -> list[int]:
         ) from None
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive int, got {text!r}")
+
+
 def _resolve_seed(seed: int | None) -> int:
     """Every randomized command reports its seed, auto-generated or not."""
     return secrets.randbits(32) if seed is None else seed
@@ -388,9 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--patterns", required=True, help="pattern file path")
         if with_input:
             p.add_argument("--input", required=True, help="input bit string")
-        p.add_argument("--b", type=int, required=True, help="control-qubit count")
+        p.add_argument(
+            "--b", type=_positive_int, required=True, help="control-qubit count"
+        )
         if with_shots:
-            p.add_argument("--shots", type=int, default=10000)
+            p.add_argument("--shots", type=_positive_int, default=10000)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument(
             "--gamma-mode",
@@ -405,7 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="exact | estimate | fixed:K",
         )
         if with_retries:
-            p.add_argument("--retries", type=int, default=5, help="round budget")
+            p.add_argument(
+                "--retries", type=_positive_int, default=5, help="round budget"
+            )
         p.add_argument("--mode", choices=("sparse", "dense"), default="sparse")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--strict-deterministic", action="store_true")

@@ -36,9 +36,9 @@ from .statevector import (
     collapse_qubit,
     measure_qubit,
     measure_register,
-    probability_of_subspace,
     reflect_about_state,
     reflect_good_subspace,
+    subspace_mass,
 )
 
 _ESTIMATE_OFFSETS = (0, 1, -1, 2, -2)
@@ -259,16 +259,14 @@ def prepare_initial(
         raise ValueError("branch weights must be nonnegative")
     if abs(gamma + gamma_bar - 1.0) > 1e-12:
         raise ValueError(f"gamma + gamma_bar must be 1, got {gamma + gamma_bar!r}")
-    anc_mask = 1 << anc.offset
-    w0 = math.sqrt(gamma / patterns.p)
-    w1 = math.sqrt(gamma_bar / patterns.p)
-    amps: dict[int, complex] = {}
-    for q in patterns:
-        if w0:
-            amps[mem.encode(q.bits)] = complex(w0)
-        if w1:
-            amps[mem.encode(q.mirror().bits) | anc_mask] = complex(w1)
-    return StateVector.from_amplitudes(layout, amps, mode=mode)
+    p = patterns.p
+    words = np.array([mem.encode(q.bits) for q in patterns], dtype=np.int64)
+    mirrored = (words ^ mem.mask) | (1 << anc.offset)
+    # A zero branch weight gives zero amplitudes, which the constructor drops.
+    amplitudes = np.repeat([math.sqrt(gamma / p), math.sqrt(gamma_bar / p)], p)
+    return StateVector.from_arrays(
+        layout, np.concatenate((words, mirrored)), amplitudes, mode=mode
+    )
 
 
 def apply_difference_encoding(
@@ -370,8 +368,7 @@ def good_subspace_probability(state: StateVector, branch: int) -> float:
     if branch not in (0, 1):
         raise ValueError("branch must be 0 or 1")
     reg = state.layout.control
-    target = reg.mask if branch else 0
-    return probability_of_subspace(state, lambda i: (i & reg.mask) == target)
+    return subspace_mass(state, reg.mask, reg.mask if branch else 0)
 
 
 def optimal_iterations(p_good: float) -> int:
@@ -424,12 +421,34 @@ def _resolve_iterations(
     return estimate_iterations(b, round_index)
 
 
+def _retrieval_pipeline(
+    input_pattern: BitPattern, patterns: PatternSet, config: RetrievalConfig
+) -> StateVector:
+    """run_pipeline under the config's branch weights, after the zero-mass guard.
+
+    The analytic weight (1/p) cos^{2b}(pi d / 2n) is zero exactly when
+    d = n, so an instance has no retrievable mass exactly when every
+    stored pattern is the complement of the input.
+    """
+    gamma, gamma_bar = resolve_gamma(config.gamma_mode, patterns)
+    complement = input_pattern.mirror()
+    if all(q == complement for q in patterns):
+        raise ZeroMassError(
+            "every stored pattern is at maximal distance from the input;"
+            " retrieval is impossible"
+        )
+    return run_pipeline(
+        input_pattern, patterns, gamma, gamma_bar, config.b, config.representation
+    )
+
+
 def retrieve(
     input_pattern: BitPattern,
     patterns: PatternSet,
     config: RetrievalConfig,
     rng=None,
     round_index: int = 0,
+    state: StateVector | None = None,
 ) -> RetrievalOutcome:
     """One retrieval round.
 
@@ -437,15 +456,14 @@ def retrieve(
     toward that branch's good subspace, measures the controls, and, when
     they land in the good subspace, measures the memory register. Branch-1
     results are mirror-corrected. round_index only matters in estimate
-    mode, where it varies the iteration count across retries.
+    mode, where it varies the iteration count across retries. state, when
+    given, must be the pipeline output for these arguments; the round then
+    starts from it instead of recomputing it.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    gamma, gamma_bar = resolve_gamma(config.gamma_mode, patterns)
-    analytic_distribution(input_pattern, patterns, config.b)  # zero-mass guard
-    state = run_pipeline(
-        input_pattern, patterns, gamma, gamma_bar, config.b, config.representation
-    )
+    if state is None:
+        state = _retrieval_pipeline(input_pattern, patterns, config)
     branch, state = measure_qubit(state, state.layout.ancilla.offset, rng)
     p_good = good_subspace_probability(state, branch)
     k = _resolve_iterations(config.amplification_mode, p_good, config.b, round_index)
@@ -468,16 +486,20 @@ def run_retrieval(
 ) -> RetrievalRun:
     """Repeat retrieval rounds until one succeeds or the budget is spent.
 
-    Every round re-runs the full pipeline; failed rounds are reported, not
-    hidden, since cost accounting counts them.
+    The deterministic pipeline runs once and every round starts from its
+    output. Failed rounds are reported, not hidden, since cost
+    accounting counts them.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     if rng is None:
         rng = np.random.default_rng(config.seed)
+    state = _retrieval_pipeline(input_pattern, patterns, config)
     rounds: list[RetrievalOutcome] = []
     for index in range(max_rounds):
-        outcome = retrieve(input_pattern, patterns, config, rng, round_index=index)
+        outcome = retrieve(
+            input_pattern, patterns, config, rng, round_index=index, state=state
+        )
         rounds.append(outcome)
         if outcome.succeeded:
             return RetrievalRun(outcome, tuple(rounds), index)
@@ -485,9 +507,8 @@ def run_retrieval(
 
 
 def _support_arrays(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
-    pairs = list(state.items())
-    indices = np.array([i for i, _ in pairs], dtype=np.int64)
-    probs = np.array([abs(a) ** 2 for _, a in pairs], dtype=np.float64)
+    indices, amps = state.arrays()
+    probs = np.abs(amps) ** 2
     return indices, probs / probs.sum()
 
 
@@ -645,7 +666,13 @@ def complexity_uniform_approx(b: int) -> float:
 
 
 def grover_baseline(n: int) -> float:
-    """Address-based retrieval cost sqrt(2^n); a comparison constant."""
+    """Address-based retrieval cost sqrt(2^n); a comparison constant.
+
+    Infinite once sqrt(2^n) exceeds the float range (n >= 2048).
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return math.sqrt(2.0**n)
+    try:
+        return math.ldexp(math.sqrt(2.0 ** (n % 2)), n // 2)
+    except OverflowError:
+        return math.inf

@@ -5,21 +5,29 @@ Basis-state indices are little-endian over the composite register: qubit k
 so a register's first qubit is its least significant bit and lines up with
 the leftmost character of a pattern string.
 
-Two storage modes exist. Sparse mode (default) maps basis index to complex
-amplitude in a dict and drops entries whose magnitude falls below
-PRUNE_THRESHOLD after amplitude-mixing operations. Dense mode keeps the
-full 2**total_qubits vector and is retained for cross-validation; both
-modes implement every operation and agree amplitude-by-amplitude.
+Two storage modes exist. Sparse mode (default) holds a state as two aligned
+arrays: the sorted, duplicate-free int64 basis indices of its support and
+their complex128 amplitudes. Every gate is array arithmetic over the whole
+support: NOT and XOR rewrite indices and re-sort, the distance phase is a
+masked popcount, the Hadamard pairs each index with its partner, and
+projection and measurement select by index masks. Amplitudes whose
+magnitude is at most PRUNE_THRESHOLD are dropped when a state is built or
+converted and after the amplitude-mixing operations (Hadamard and
+reflection about a state); the other operations keep the support or
+project it. int64 indices limit layouts to 63 qubits. Dense mode
+keeps the full 2**total_qubits vector and is written separately, as the
+reference that sparse results are cross-validated against; both modes
+implement every operation and agree amplitude-by-amplitude.
 
-All operations return new StateVector values; existing values are never
-mutated, so sharing across threads is safe. Randomized operations take a
-seedable numpy Generator (np.random.default_rng); outcomes are
-deterministic given the seed and configuration.
+All operations return new StateVector values; the arrays of an existing
+value are read-only and never mutated, so sharing across threads is safe.
+Randomized operations take a seedable numpy Generator
+(np.random.default_rng); outcomes are deterministic given the seed and
+configuration.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
@@ -31,6 +39,7 @@ from .errors import DimensionError
 PRUNE_THRESHOLD = 1e-14
 NORM_TOLERANCE = 1e-10
 _MAX_DENSE_QUBITS = 24
+_MAX_QUBITS = 63  # basis indices are int64
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -75,7 +84,10 @@ class Register:
 
 
 class RegisterLayout:
-    """Named, disjoint registers covering all simulated qubits, in index order."""
+    """Named, disjoint registers covering all simulated qubits, in index order.
+
+    A layout holds at most 63 qubits, so that every basis index fits in int64.
+    """
 
     def __init__(self, widths: Sequence[tuple[str, int]]):
         offset = 0
@@ -89,6 +101,11 @@ class RegisterLayout:
             seen.add(name)
             registers.append(Register(name, width, offset))
             offset += width
+        if offset > _MAX_QUBITS:
+            raise DimensionError(
+                f"a layout holds at most {_MAX_QUBITS} qubits (basis indices are"
+                f" int64), these registers need {offset}"
+            )
         self.registers: tuple[Register, ...] = tuple(registers)
         self.total_qubits: int = offset
 
@@ -157,24 +174,30 @@ class RegisterLayout:
 class StateVector:
     """Normalized complex amplitudes over a layout's basis states."""
 
-    __slots__ = ("layout", "mode", "_amps")
+    __slots__ = ("layout", "mode", "_idx", "_amps")
 
-    def __init__(self, layout, amps, mode, _internal=False):
+    def __init__(self, layout, idx, amps, mode, _internal=False):
         if not _internal:
             raise TypeError(
-                "use StateVector.basis_state or StateVector.from_amplitudes"
+                "use StateVector.basis_state, from_amplitudes or from_arrays"
             )
         self.layout = layout
         self.mode = mode
+        self._idx = idx
         self._amps = amps
 
     @classmethod
-    def _sparse(cls, layout: RegisterLayout, amps: dict[int, complex]) -> StateVector:
-        return cls(layout, amps, "sparse", _internal=True)
+    def _sparse(
+        cls, layout: RegisterLayout, idx: np.ndarray, amps: np.ndarray
+    ) -> StateVector:
+        """Wrap a sorted, duplicate-free index array and its aligned amplitudes."""
+        idx.flags.writeable = False
+        amps.flags.writeable = False
+        return cls(layout, idx, amps, "sparse", _internal=True)
 
     @classmethod
     def _dense(cls, layout: RegisterLayout, amps: np.ndarray) -> StateVector:
-        return cls(layout, amps, "dense", _internal=True)
+        return cls(layout, None, amps, "dense", _internal=True)
 
     @classmethod
     def basis_state(
@@ -182,7 +205,7 @@ class StateVector:
     ) -> StateVector:
         if not 0 <= index < layout.dim:
             raise IndexError(f"basis index {index} out of range")
-        return cls.from_amplitudes(layout, {index: 1.0 + 0j}, mode=mode)
+        return cls.from_arrays(layout, [index], [1.0], mode=mode)
 
     @classmethod
     def from_amplitudes(
@@ -196,50 +219,78 @@ class StateVector:
         The mapping must be normalized to within NORM_TOLERANCE; the
         constructor never renormalizes.
         """
+        return cls.from_arrays(
+            layout, list(amplitudes.keys()), list(amplitudes.values()), mode=mode
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        layout: RegisterLayout,
+        indices,
+        amplitudes,
+        mode: str = "sparse",
+    ) -> StateVector:
+        """Build a state from distinct basis indices and their amplitudes.
+
+        The indices may come in any order. The amplitudes must be
+        normalized to within NORM_TOLERANCE; the constructor never
+        renormalizes.
+        """
         if mode not in ("sparse", "dense"):
             raise ValueError(f"unknown mode {mode!r}")
-        norm_sq = 0.0
-        for index, amp in amplitudes.items():
-            if not 0 <= index < layout.dim:
-                raise IndexError(f"basis index {index} out of range")
-            norm_sq += abs(amp) ** 2
+        idx = np.asarray(indices).ravel()
+        amps = np.asarray(amplitudes, dtype=np.complex128).ravel()
+        if idx.shape != amps.shape:
+            raise ValueError(
+                f"{idx.size} basis indices but {amps.size} amplitudes"
+            )
+        if idx.size and (idx.min() < 0 or idx.max() >= layout.dim):
+            raise IndexError(
+                f"basis index out of range for a {layout.total_qubits}-qubit layout"
+            )
+        norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > NORM_TOLERANCE:
             raise ValueError(f"amplitudes are not normalized: |psi|^2 = {norm_sq!r}")
+        idx = idx.astype(np.int64)
+        order = np.argsort(idx, kind="stable")
+        idx, amps = idx[order], amps[order]
+        if np.any(idx[1:] == idx[:-1]):
+            raise ValueError("basis indices must be distinct")
         if mode == "sparse":
-            amps = {
-                int(i): complex(a)
-                for i, a in amplitudes.items()
-                if abs(a) > PRUNE_THRESHOLD
-            }
-            return cls._sparse(layout, amps)
+            return _pruned(layout, idx, amps)
         _check_dense_size(layout)
         arr = np.zeros(layout.dim, dtype=np.complex128)
-        for i, a in amplitudes.items():
-            arr[i] = a
+        arr[idx] = amps
         return cls._dense(layout, arr)
 
     def amplitude(self, index: int) -> complex:
+        if self.mode == "dense":
+            return complex(self._amps[index])
+        return complex(_gather(self._idx, self._amps, np.array([index]))[0])
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted nonzero basis indices and their amplitudes; do not modify them.
+
+        A sparse state returns its own (read-only) arrays.
+        """
         if self.mode == "sparse":
-            return self._amps.get(index, 0j)
-        return complex(self._amps[index])
+            return self._idx, self._amps
+        nonzero = np.flatnonzero(self._amps)
+        return nonzero, self._amps[nonzero]
 
     def items(self) -> Iterator[tuple[int, complex]]:
-        """Nonzero (basis index, amplitude) pairs."""
-        if self.mode == "sparse":
-            yield from self._amps.items()
-        else:
-            for i in np.nonzero(self._amps)[0]:
-                yield int(i), complex(self._amps[i])
+        """Nonzero (basis index, amplitude) pairs in index order."""
+        idx, amps = self.arrays()
+        return zip(idx.tolist(), amps.tolist())
 
     @property
     def support_size(self) -> int:
         if self.mode == "sparse":
-            return len(self._amps)
+            return int(self._idx.size)
         return int(np.count_nonzero(self._amps))
 
     def norm(self) -> float:
-        if self.mode == "sparse":
-            return math.sqrt(sum(abs(a) ** 2 for a in self._amps.values()))
         return float(np.linalg.norm(self._amps))
 
     def to_mode(self, mode: str) -> StateVector:
@@ -248,16 +299,11 @@ class StateVector:
         if mode == "dense":
             _check_dense_size(self.layout)
             arr = np.zeros(self.layout.dim, dtype=np.complex128)
-            for i, a in self._amps.items():
-                arr[i] = a
+            arr[self._idx] = self._amps
             return StateVector._dense(self.layout, arr)
         if mode == "sparse":
-            amps = {
-                int(i): complex(self._amps[i])
-                for i in np.nonzero(self._amps)[0]
-                if abs(self._amps[i]) > PRUNE_THRESHOLD
-            }
-            return StateVector._sparse(self.layout, amps)
+            kept = np.flatnonzero(np.abs(self._amps) > PRUNE_THRESHOLD)
+            return StateVector._sparse(self.layout, kept, self._amps[kept])
         raise ValueError(f"unknown mode {mode!r}")
 
     def as_dict(self) -> dict[int, complex]:
@@ -267,10 +313,10 @@ class StateVector:
         """Amplitude-by-amplitude agreement over the union of supports."""
         if self.layout != other.layout:
             return False
-        indices = {i for i, _ in self.items()} | {i for i, _ in other.items()}
-        return all(
-            abs(self.amplitude(i) - other.amplitude(i)) <= tol for i in indices
-        )
+        (ia, aa), (ib, ab) = self.arrays(), other.arrays()
+        union = np.union1d(ia, ib)
+        gap = np.abs(_gather(ia, aa, union) - _gather(ib, ab, union))
+        return bool(np.all(gap <= tol))
 
     def __repr__(self) -> str:
         return (
@@ -294,8 +340,38 @@ def _check_qubit(state: StateVector, qubit: int) -> None:
         )
 
 
-def _prune(amps: dict[int, complex]) -> dict[int, complex]:
-    return {i: a for i, a in amps.items() if abs(a) > PRUNE_THRESHOLD}
+def _lookup(idx: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the query indices sit in the sorted, nonempty idx, and which are there."""
+    pos = np.minimum(np.searchsorted(idx, query), idx.size - 1)
+    return pos, idx[pos] == query
+
+
+def _gather(idx: np.ndarray, amps: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Amplitudes at the query indices, 0 where the support idx lacks them.
+
+    Returns amps itself when query is the support, the common case in
+    amplification, where every state shares its axis's support.
+    """
+    if np.array_equal(idx, query):
+        return amps
+    pos, hit = _lookup(idx, query)
+    return np.where(hit, amps[pos], 0j)
+
+
+def _pruned(layout: RegisterLayout, idx: np.ndarray, amps: np.ndarray) -> StateVector:
+    """Sparse state on sorted indices, without amplitudes of at most PRUNE_THRESHOLD."""
+    keep = np.abs(amps) > PRUNE_THRESHOLD
+    if keep.all():
+        return StateVector._sparse(layout, idx, amps)
+    return StateVector._sparse(layout, idx[keep], amps[keep])
+
+
+def _permuted(state: StateVector, idx: np.ndarray) -> StateVector:
+    """Sparse state with state's amplitudes moved to the rewritten indices idx."""
+    # The rewritten indices form a few sorted runs, which a stable sort merges
+    # in near-linear time.
+    order = np.argsort(idx, kind="stable")
+    return StateVector._sparse(state.layout, idx[order], state._amps[order])
 
 
 def apply_not(state: StateVector, qubit: int) -> StateVector:
@@ -303,9 +379,7 @@ def apply_not(state: StateVector, qubit: int) -> StateVector:
     _check_qubit(state, qubit)
     mask = 1 << qubit
     if state.mode == "sparse":
-        return StateVector._sparse(
-            state.layout, {i ^ mask: a for i, a in state._amps.items()}
-        )
+        return _permuted(state, state._idx ^ mask)
     idx = np.arange(state.layout.dim) ^ mask
     return StateVector._dense(state.layout, state._amps[idx])
 
@@ -318,10 +392,8 @@ def apply_xor(state: StateVector, control: int, target: int) -> StateVector:
         raise ValueError("control and target must be different qubits")
     cmask, tmask = 1 << control, 1 << target
     if state.mode == "sparse":
-        return StateVector._sparse(
-            state.layout,
-            {(i ^ tmask if i & cmask else i): a for i, a in state._amps.items()},
-        )
+        idx = state._idx
+        return _permuted(state, idx ^ (((idx >> control) & 1) << target))
     idx = np.arange(state.layout.dim)
     perm = np.where((idx & cmask) != 0, idx ^ tmask, idx)
     return StateVector._dense(state.layout, state._amps[perm])
@@ -332,23 +404,15 @@ def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
     _check_qubit(state, qubit)
     mask = 1 << qubit
     if state.mode == "sparse":
-        new: dict[int, complex] = {}
-        done: set[int] = set()
-        amps = state._amps
-        for i in amps:
-            base = i & ~mask
-            if base in done:
-                continue
-            done.add(base)
-            a0 = amps.get(base, 0j)
-            a1 = amps.get(base | mask, 0j)
-            n0 = (a0 + a1) * _SQRT_HALF
-            n1 = (a0 - a1) * _SQRT_HALF
-            if abs(n0) > PRUNE_THRESHOLD:
-                new[base] = n0
-            if abs(n1) > PRUNE_THRESHOLD:
-                new[base | mask] = n1
-        return StateVector._sparse(state.layout, new)
+        idx = state._idx
+        bases, slot = np.unique(idx & ~mask, return_inverse=True)
+        pair = np.zeros((2, bases.size), dtype=np.complex128)
+        pair[(idx >> qubit) & 1, slot] = state._amps
+        a0, a1 = pair
+        new_idx = np.concatenate((bases, bases | mask))
+        new_amps = np.concatenate(((a0 + a1) * _SQRT_HALF, (a0 - a1) * _SQRT_HALF))
+        order = np.argsort(new_idx, kind="stable")
+        return _pruned(state.layout, new_idx[order], new_amps[order])
     idx = np.arange(state.layout.dim)
     lower = idx[(idx & mask) == 0]
     upper = lower | mask
@@ -378,12 +442,12 @@ def apply_hamming_phase(state: StateVector, control: int) -> StateVector:
     step = math.pi / (2 * n)
     cmask = 1 << control
     if state.mode == "sparse":
-        new = {}
-        for i, a in state._amps.items():
-            z = n - (i & mem.mask).bit_count()
-            sigma = -1.0 if i & cmask else 1.0
-            new[i] = a * cmath.exp(1j * step * z * sigma)
-        return StateVector._sparse(state.layout, new)
+        idx = state._idx
+        zeros = n - np.bitwise_count(idx & mem.mask).astype(np.int64)
+        signed = np.where((idx & cmask) != 0, -zeros, zeros)
+        # phases[n + k] = exp(i * step * k) for k = -n..n
+        phases = np.exp(1j * step * np.arange(-n, n + 1))
+        return StateVector._sparse(layout, idx, state._amps * phases[n + signed])
     idx = np.arange(layout.dim)
     zeros = np.full(layout.dim, n, dtype=np.int64)
     for b in mem.bits():
@@ -413,15 +477,13 @@ def _project(
     state: StateVector, select_mask: int, select_value: int
 ) -> tuple[float, StateVector]:
     if state.mode == "sparse":
-        kept = {
-            i: a for i, a in state._amps.items() if (i & select_mask) == select_value
-        }
-        probability = sum(abs(a) ** 2 for a in kept.values())
+        keep = (state._idx & select_mask) == select_value
+        kept = state._amps[keep]
+        probability = float(np.vdot(kept, kept).real)
         if probability <= 0.0:
             raise ValueError("projection onto a zero-probability subspace")
-        scale = 1.0 / math.sqrt(probability)
         return probability, StateVector._sparse(
-            state.layout, {i: a * scale for i, a in kept.items()}
+            state.layout, state._idx[keep], kept / math.sqrt(probability)
         )
     idx = np.arange(state.layout.dim)
     keep = (idx & select_mask) == select_value
@@ -432,11 +494,18 @@ def _project(
     return probability, StateVector._dense(state.layout, out)
 
 
+def subspace_mass(state: StateVector, select_mask: int, select_value: int) -> float:
+    """Born mass of basis states i with (i & select_mask) == select_value."""
+    idx, amps = state.arrays()
+    kept = amps[(idx & select_mask) == select_value]
+    return float(np.vdot(kept, kept).real)
+
+
 def measure_qubit(state: StateVector, qubit: int, rng) -> tuple[int, StateVector]:
     """Born-rule measurement of one qubit; returns (bit, collapsed state)."""
     _check_qubit(state, qubit)
     mask = 1 << qubit
-    p_one = sum(abs(a) ** 2 for i, a in state.items() if i & mask)
+    p_one = subspace_mass(state, mask, mask)
     outcome = 1 if rng.random() < p_one else 0
     _, collapsed = collapse_qubit(state, qubit, outcome)
     return outcome, collapsed
@@ -448,22 +517,17 @@ def measure_register(
     """Born-rule measurement of a whole register.
 
     Returns (bit string, collapsed state); the string is written with the
-    register's first qubit leftmost, matching the pattern convention.
+    register's first qubit leftmost, matching the pattern convention. The
+    outcome is the register value, in increasing order, at which the
+    cumulative mass first exceeds one uniform draw.
     """
     reg = state.layout.register(register) if isinstance(register, str) else register
-    masses: dict[int, float] = {}
-    for i, a in state.items():
-        value = (i & reg.mask) >> reg.offset
-        masses[value] = masses.get(value, 0.0) + abs(a) ** 2
-    values = sorted(masses)
-    u = rng.random()
-    acc = 0.0
-    chosen = values[-1]
-    for value in values:
-        acc += masses[value]
-        if u < acc:
-            chosen = value
-            break
+    idx, amps = state.arrays()
+    values = (idx & reg.mask) >> reg.offset
+    order = np.argsort(values, kind="stable")
+    cumulative = np.cumsum(np.abs(amps[order]) ** 2)
+    first = int(np.searchsorted(cumulative, rng.random(), side="right"))
+    chosen = int(values[order[min(first, idx.size - 1)]])
     _, collapsed = _project(state, reg.mask, chosen << reg.offset)
     word = "".join(str((chosen >> j) & 1) for j in range(reg.width))
     return word, collapsed
@@ -482,12 +546,20 @@ def reflect_about_state(state: StateVector, axis: StateVector) -> StateVector:
         raise DimensionError("layout mismatch between state and reflection axis")
     axis = axis.to_mode(state.mode)
     coeff = 2.0 * inner_product(axis, state)
-    if state.mode == "sparse":
-        new = {i: -a for i, a in state._amps.items()}
-        for i, a in axis._amps.items():
-            new[i] = new.get(i, 0j) + coeff * a
-        return StateVector._sparse(state.layout, _prune(new))
-    return StateVector._dense(state.layout, coeff * axis._amps - state._amps)
+    if state.mode == "dense":
+        return StateVector._dense(state.layout, coeff * axis._amps - state._amps)
+    support = axis._idx
+    if not (
+        np.array_equal(support, state._idx)
+        or _lookup(support, state._idx)[1].all()
+    ):
+        # The state reaches outside the axis support (amplification never
+        # does: pruning only shrinks the support), so merge the two.
+        support = np.union1d(support, state._idx)
+    amps = coeff * _gather(axis._idx, axis._amps, support) - _gather(
+        state._idx, state._amps, support
+    )
+    return _pruned(state.layout, support, amps)
 
 
 def reflect_good_subspace(state: StateVector, branch: int) -> StateVector:
@@ -497,12 +569,9 @@ def reflect_good_subspace(state: StateVector, branch: int) -> StateVector:
     reg = state.layout.control
     target = reg.mask if branch else 0
     if state.mode == "sparse":
+        flip = (state._idx & reg.mask) == target
         return StateVector._sparse(
-            state.layout,
-            {
-                i: (-a if (i & reg.mask) == target else a)
-                for i, a in state._amps.items()
-            },
+            state.layout, state._idx, np.where(flip, -state._amps, state._amps)
         )
     idx = np.arange(state.layout.dim)
     flip = (idx & reg.mask) == target
@@ -515,6 +584,7 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
         raise DimensionError("layout mismatch in inner product")
     if a.mode == "dense" and b.mode == "dense":
         return complex(np.vdot(a._amps, b._amps))
-    if a.mode == "sparse" and (b.mode == "dense" or len(a._amps) <= len(b._amps)):
-        return sum(av.conjugate() * b.amplitude(i) for i, av in a._amps.items())
-    return sum(a.amplitude(i).conjugate() * bv for i, bv in b._amps.items())
+    (ia, aa), (ib, ab) = a.arrays(), b.arrays()
+    if ia.size <= ib.size:
+        return complex(np.vdot(aa, _gather(ib, ab, ia)))
+    return complex(np.vdot(_gather(ia, aa, ib), ab))

@@ -209,6 +209,45 @@ class TestCloneCheckCommand:
         assert len(lines) == 2
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("distribution", "--b"),
+            ("retrieve", "--b"),
+            ("distribution", "--shots"),
+            ("retrieve", "--retries"),
+        ],
+    )
+    def test_nonpositive_count_is_a_one_line_parse_error(
+        self, pattern_file, command, flag
+    ):
+        path = pattern_file("00\n01\n")
+        values = {"--b": "1", flag: "0"}
+        result = run_cli(
+            command, "--patterns", path, "--input", "00",
+            *(item for pair in values.items() for item in pair),
+        )
+        assert result.returncode == 2
+        errors = [line for line in result.stderr.splitlines() if "error" in line]
+        assert errors == [
+            f"mirrorqam {command}: error: argument {flag}:"
+            " expected a positive int, got '0'"
+        ]
+
+    def test_layout_over_63_qubits_exits_3(self, pattern_file):
+        path = pattern_file("0" * 62 + "\n")
+        result = run_cli(
+            "distribution", "--patterns", path, "--input", "0" * 62,
+            "--b", "1", "--seed", "1",
+        )
+        assert result.returncode == 3
+        assert result.stderr.strip().splitlines() == [
+            "error: a layout holds at most 63 qubits (basis indices are int64),"
+            " these registers need 64"
+        ]
+
+
 class TestComplexityCommand:
     def test_uniform_table(self, pattern_file):
         path = pattern_file("0" * 20 + "\n")
@@ -220,6 +259,14 @@ class TestComplexityCommand:
         row = results["table"][0]
         assert row["uniform_approx"] == pytest.approx(2.6626707276007795)
         assert row["uniform_exact"] == pytest.approx(2.673090428653138)
+
+    def test_baseline_beyond_float_range_prints_inf(self, pattern_file):
+        path = pattern_file("0" * 2048 + "\n")
+        result = run_cli(
+            "complexity", "--patterns", path, "--uniform", "--b-range", "1"
+        )
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["results"]["grover_baseline"] == "inf"
 
     def test_instance_table_exact_match(self, pattern_file):
         path = pattern_file("0101\n")

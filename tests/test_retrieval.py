@@ -9,6 +9,7 @@ from mirrorqam.errors import (
     SingularOverlapError,
     ZeroMassError,
 )
+from mirrorqam import retrieval
 from mirrorqam.patterns import BitPattern, PatternSet
 from mirrorqam.retrieval import (
     AmplificationMode,
@@ -430,6 +431,39 @@ class TestRetrieve:
         run = run_retrieval(bp("00"), ps("01", "10"), config, max_rounds=2)
         assert len(run.rounds) <= 2
 
+    def test_run_retrieval_runs_the_pipeline_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_pipeline(*args, **kwargs)
+
+        monkeypatch.setattr(retrieval, "run_pipeline", counted)
+        config = RetrievalConfig(
+            b=1, amplification_mode=AmplificationMode.fixed(0), seed=8
+        )
+        run = run_retrieval(bp("00"), ps("01", "10"), config, max_rounds=50)
+        assert len(run.rounds) == 3
+        assert len(calls) == 1
+
+    def test_run_retrieval_rounds_equal_independent_rounds(self):
+        # Reusing the pipeline state draws nothing from the rng, so the
+        # rounds equal retrieve calls that each recompute the pipeline.
+        config = RetrievalConfig(
+            b=2,
+            gamma_mode=GammaMode.fixed(0.5),
+            amplification_mode=AmplificationMode.estimate(),
+        )
+        patterns, x = ps("0011", "0101", "0110", "1100"), bp("0111")
+        run = run_retrieval(x, patterns, config, rng=np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        expect = [
+            retrieve(x, patterns, config, rng, round_index=index)
+            for index in range(len(run.rounds))
+        ]
+        assert len(run.rounds) == 5
+        assert list(run.rounds) == expect
+
 
 class TestSimulateDistribution:
     def test_matches_analytic_within_tv(self, rng):
@@ -530,6 +564,12 @@ class TestComplexity:
 
     def test_grover_baseline(self):
         assert grover_baseline(20) == pytest.approx(1024.0)
+
+    def test_grover_baseline_beyond_double_exponent_range(self):
+        assert grover_baseline(1023) == math.sqrt(2.0**1023)
+        assert grover_baseline(1024) == 2.0**512
+        assert grover_baseline(2047) == math.sqrt(2.0) * 2.0**1023
+        assert grover_baseline(2048) == math.inf
 
 
 class TestAccuracyTradeoff:

@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorqam.errors import DimensionError
+from mirrorqam.patterns import BitPattern
+from mirrorqam.retrieval import apply_difference_encoding
 from mirrorqam.statevector import (
     NORM_TOLERANCE,
     PRUNE_THRESHOLD,
@@ -21,6 +25,7 @@ from mirrorqam.statevector import (
     probability_of_subspace,
     reflect_about_state,
     reflect_good_subspace,
+    subspace_mass,
 )
 
 SQ2 = math.sqrt(0.5)
@@ -87,6 +92,18 @@ class TestConstruction:
         lay = RegisterLayout.memory_only(1)
         with pytest.raises(IndexError):
             StateVector.from_amplitudes(lay, {4: 1.0})
+
+    def test_layout_limit(self):
+        assert StateVector.basis_state(
+            RegisterLayout.memory_only(63), 2**63 - 1
+        ).support_size == 1
+        with pytest.raises(DimensionError, match="at most 63 qubits"):
+            RegisterLayout.retrieval(62, 1)
+
+    def test_rejects_repeated_index(self):
+        lay = RegisterLayout.memory_only(1)
+        with pytest.raises(ValueError, match="distinct"):
+            StateVector.from_arrays(lay, [1, 1], [SQ2, SQ2])
 
     def test_mode_round_trip(self):
         st = bell("sparse")
@@ -376,3 +393,131 @@ class TestModeAgreementAndNorm:
         for _ in range(200):
             st = _random_op(st, rng)
         assert all(abs(a) > PRUNE_THRESHOLD for _, a in st.items())
+
+
+# Property tests: random small layouts, states and gate sequences. Each
+# example draws its shape and gate list from hypothesis and its amplitudes
+# from a numpy generator seeded by hypothesis, so a failure replays exactly.
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+layouts = st.builds(
+    RegisterLayout.retrieval, st.integers(1, 4), st.integers(1, 3)
+)
+seeds = st.integers(0, 2**32 - 1)
+gates = st.lists(
+    st.tuples(
+        st.sampled_from(["not", "xor", "hadamard", "phase", "good", "reflect"]),
+        seeds,
+    ),
+    max_size=25,
+)
+
+
+def random_state(layout, seed, mode="sparse", size=None):
+    """A normalized state on a random support of the given (or a random) size."""
+    rng = np.random.default_rng(seed)
+    if size is None:
+        size = int(rng.integers(1, layout.dim + 1))
+    idx = rng.choice(layout.dim, size=size, replace=False)
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return StateVector.from_arrays(layout, idx, amps / np.linalg.norm(amps), mode)
+
+
+def apply_gate(state, gate):
+    """One gate from a (name, seed) pair; the seed picks qubits or the axis."""
+    name, seed = gate
+    lay = state.layout
+    rng = np.random.default_rng(seed)
+    if name == "not":
+        return apply_not(state, int(rng.integers(lay.total_qubits)))
+    if name == "xor":
+        c, t = rng.choice(lay.total_qubits, size=2, replace=False)
+        return apply_xor(state, int(c), int(t))
+    if name == "hadamard":
+        return apply_hadamard(state, int(rng.integers(lay.total_qubits)))
+    if name == "phase":
+        return apply_hamming_phase(state, int(rng.choice(list(lay.control.bits()))))
+    if name == "good":
+        return reflect_good_subspace(state, seed % 2)
+    return reflect_about_state(state, random_state(lay, seed, state.mode))
+
+
+def dense_vector(state):
+    return np.array([state.amplitude(i) for i in range(state.layout.dim)])
+
+
+class TestEngineProperties:
+    @PROPERTY
+    @given(layouts, seeds, gates)
+    def test_sparse_matches_dense(self, layout, seed, sequence):
+        sparse = random_state(layout, seed, "sparse")
+        dense = random_state(layout, seed, "dense")
+        for gate in sequence:
+            sparse, dense = apply_gate(sparse, gate), apply_gate(dense, gate)
+        assert sparse.allclose(dense, 1e-12)
+        assert all(abs(a) > PRUNE_THRESHOLD for _, a in sparse.items())
+
+    @PROPERTY
+    @given(layouts, seeds, gates)
+    def test_norm_is_preserved(self, layout, seed, sequence):
+        state = random_state(layout, seed)
+        for gate in sequence:
+            state = apply_gate(state, gate)
+            assert abs(state.norm() - 1.0) < NORM_TOLERANCE
+
+    @PROPERTY
+    @given(layouts, seeds, seeds)
+    def test_not_is_an_involution(self, layout, seed, qubit_seed):
+        state = random_state(layout, seed)
+        qubit = qubit_seed % layout.total_qubits
+        twice = apply_not(apply_not(state, qubit), qubit)
+        assert twice.as_dict() == state.as_dict()
+
+    @PROPERTY
+    @given(layouts, seeds, seeds)
+    def test_difference_encoding_is_an_involution(self, layout, seed, input_seed):
+        state = random_state(layout, seed)
+        bits = np.random.default_rng(input_seed).integers(0, 2, layout.n)
+        word = BitPattern(tuple(int(x) for x in bits))
+        twice = apply_difference_encoding(apply_difference_encoding(state, word), word)
+        assert twice.as_dict() == state.as_dict()
+
+    @PROPERTY
+    @given(layouts, seeds, seeds)
+    def test_reflection_is_an_involution(self, layout, seed, axis_seed):
+        state = random_state(layout, seed)
+        axis = random_state(layout, axis_seed)
+        twice = reflect_about_state(reflect_about_state(state, axis), axis)
+        assert twice.allclose(state, 1e-12)
+
+    @PROPERTY
+    @given(layouts, seeds, seeds)
+    def test_reflection_outside_the_axis_support(self, layout, seed, axis_seed):
+        # A one-entry axis never covers a state of two or more entries, so
+        # the support merge runs; the reference is the dense formula.
+        state = random_state(layout, seed, size=int(2 + seed % (layout.dim - 1)))
+        axis = random_state(layout, axis_seed, size=1)
+        got = reflect_about_state(state, axis)
+        a, s = dense_vector(axis), dense_vector(state)
+        expect = 2 * np.vdot(a, s) * a - s
+        assert np.max(np.abs(dense_vector(got) - expect)) <= 1e-12
+        assert abs(got.norm() - 1.0) < NORM_TOLERANCE
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(layouts, seeds, st.sampled_from(["memory", "control", "ancilla"]))
+    def test_measure_register_follows_born_masses(self, layout, seed, name):
+        state = random_state(layout, seed)
+        reg = layout.register(name)
+        shots = 2000
+        rng = np.random.default_rng(seed)
+        counts = {}
+        for _ in range(shots):
+            word, after = measure_register(state, reg, rng)
+            counts[word] = counts.get(word, 0) + 1
+        assert abs(after.norm() - 1.0) < NORM_TOLERANCE
+        for value in range(1 << reg.width):
+            word = "".join(str((value >> j) & 1) for j in range(reg.width))
+            mass = subspace_mass(state, reg.mask, value << reg.offset)
+            sigma = math.sqrt(max(mass * (1 - mass), 0.0) / shots)
+            assert abs(counts.get(word, 0) / shots - mass) <= 5 * sigma + 1e-9
