@@ -191,6 +191,7 @@ def cmd_distribution(args) -> tuple[dict, dict, list[dict]]:
         "empirical_count": report.empirical_counts,
         "empirical_by_branch": report.empirical_by_branch,
         "branch_shots": report.branch_shots,
+        "successes_by_branch": report.successes_by_branch,
         "amplification_iterations": report.amplification_iterations,
         "total_variation_distance": report.total_variation_distance,
         "shots": report.shots,

@@ -211,6 +211,7 @@ class DistributionReport:
     empirical_counts: dict[BitPattern, int]
     empirical_by_branch: dict[int, dict[BitPattern, float]]
     branch_shots: dict[int, int]
+    successes_by_branch: dict[int, int]
     amplification_iterations: dict[int, int]
     total_variation_distance: float
     shots: int
@@ -327,6 +328,30 @@ def run_pipeline(
     return undo_difference_encoding(state, input_pattern)
 
 
+def _law_weights(
+    input_pattern: BitPattern, patterns: PatternSet, b: int
+) -> list[float]:
+    """cos^{2b}(pi d / 2n) per stored pattern, in pattern order.
+
+    A pattern at maximal distance n weighs exactly zero for b >= 1.
+    """
+    if input_pattern.n != patterns.n:
+        raise DimensionError(
+            f"input has {input_pattern.n} bits, patterns have {patterns.n}"
+        )
+    n = patterns.n
+    weights = []
+    for q in patterns:
+        d = hamming_distance(input_pattern, q)
+        if b == 0:
+            weights.append(1.0)
+        elif d == n:
+            weights.append(0.0)
+        else:
+            weights.append(math.cos(math.pi * d / (2 * n)) ** (2 * b))
+    return weights
+
+
 def analytic_distribution(
     input_pattern: BitPattern, patterns: PatternSet, b: int
 ) -> AnalyticDistribution:
@@ -336,23 +361,10 @@ def analytic_distribution(
     when every stored pattern does, the instance has no retrievable mass
     and ZeroMassError is raised.
     """
-    if input_pattern.n != patterns.n:
-        raise DimensionError(
-            f"input has {input_pattern.n} bits, patterns have {patterns.n}"
-        )
     if b < 0:
         raise ValueError("b must be nonnegative")
-    n, p = patterns.n, patterns.p
-    unnormalized: dict[BitPattern, float] = {}
-    for q in patterns:
-        d = hamming_distance(input_pattern, q)
-        if b == 0:
-            weight = 1.0 / p
-        elif d == n:
-            weight = 0.0
-        else:
-            weight = math.cos(math.pi * d / (2 * n)) ** (2 * b) / p
-        unnormalized[q] = weight
+    weights = _law_weights(input_pattern, patterns, b)
+    unnormalized = {q: w / patterns.p for q, w in zip(patterns, weights)}
     good_mass = sum(unnormalized.values())
     if good_mass == 0.0:
         raise ZeroMassError(
@@ -601,8 +613,10 @@ def simulate_distribution(
         abs(empirical.get(q, 0.0) - analytic.conditional.get(q, 0.0)) for q in support
     )
     empirical_by_branch = {}
+    successes_by_branch = {}
     for branch, counter in branch_counts.items():
         total = sum(counter.values())
+        successes_by_branch[branch] = total
         empirical_by_branch[branch] = (
             {q: c / total for q, c in counter.items()} if total else {}
         )
@@ -613,6 +627,7 @@ def simulate_distribution(
         empirical_counts=dict(success_counts),
         empirical_by_branch=empirical_by_branch,
         branch_shots=branch_shots,
+        successes_by_branch=successes_by_branch,
         amplification_iterations=iterations,
         total_variation_distance=tv,
         shots=config.shots,
@@ -630,18 +645,9 @@ def complexity_estimate(
     Equals the inverse square root of the within-branch good-subspace
     mass; infinite on zero-mass instances (reported, not raised).
     """
-    if input_pattern.n != patterns.n:
-        raise DimensionError(
-            f"input has {input_pattern.n} bits, patterns have {patterns.n}"
-        )
     if b < 1:
         raise ValueError("b must be at least 1")
-    n = patterns.n
-    total = 0.0
-    for q in patterns:
-        d = hamming_distance(input_pattern, q)
-        if d != n:
-            total += math.cos(math.pi * d / (2 * n)) ** (2 * b)
+    total = sum(_law_weights(input_pattern, patterns, b))
     if total == 0.0:
         return math.inf
     return math.sqrt(patterns.p / total)

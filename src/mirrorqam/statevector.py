@@ -15,9 +15,14 @@ magnitude is at most PRUNE_THRESHOLD are dropped when a state is built or
 converted and after the amplitude-mixing operations (Hadamard and
 reflection about a state); the other operations keep the support or
 project it. int64 indices limit layouts to 63 qubits. Dense mode
-keeps the full 2**total_qubits vector and is written separately, as the
-reference that sparse results are cross-validated against; both modes
-implement every operation and agree amplitude-by-amplitude.
+keeps the full 2**total_qubits vector, at most 24 qubits, and is written
+separately, as the reference that sparse results are cross-validated
+against; both modes implement every operation and agree
+amplitude-by-amplitude. Dense kernels never build a per-basis-state index
+table: each reshapes the vector so that the qubit or register it acts on
+is one axis, then reverses, swaps, combines, scales or sums along that
+axis. The distance phase multiplies by a table over memory words only.
+Dense code shares no kernel with the sparse code.
 
 All operations return new StateVector values; the arrays of an existing
 value are read-only and never mutated, so sharing across threads is safe.
@@ -327,7 +332,7 @@ class StateVector:
 
 def _check_dense_size(layout: RegisterLayout) -> None:
     if layout.total_qubits > _MAX_DENSE_QUBITS:
-        raise ValueError(
+        raise DimensionError(
             f"dense mode supports at most {_MAX_DENSE_QUBITS} qubits,"
             f" layout has {layout.total_qubits}"
         )
@@ -338,6 +343,30 @@ def _check_qubit(state: StateVector, qubit: int) -> None:
         raise IndexError(
             f"qubit {qubit} out of range for {state.layout.total_qubits}-qubit layout"
         )
+
+
+def _blocks(amps: np.ndarray, offset: int, width: int) -> np.ndarray:
+    """View dense amplitudes as (above, 2**width, 2**offset).
+
+    The middle axis is the value of the width qubits starting at bit offset.
+    """
+    return amps.reshape(-1, 1 << width, 1 << offset)
+
+
+def _dense_subspace(amps: np.ndarray, mask: int, value: int) -> np.ndarray:
+    """View of the dense amplitudes at basis indices i with (i & mask) == value.
+
+    The mask must cover contiguous qubits, as a qubit's or a register's
+    does, and the value must lie under the mask.
+    """
+    offset = max((mask & -mask).bit_length() - 1, 0)
+    width = mask.bit_count()
+    if mask != ((1 << width) - 1) << offset or value & ~mask:
+        raise ValueError(
+            f"dense mode selects a value under a contiguous mask,"
+            f" got value {value:#x} under mask {mask:#x}"
+        )
+    return _blocks(amps, offset, width)[:, value >> offset, :]
 
 
 def _lookup(idx: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -380,8 +409,8 @@ def apply_not(state: StateVector, qubit: int) -> StateVector:
     mask = 1 << qubit
     if state.mode == "sparse":
         return _permuted(state, state._idx ^ mask)
-    idx = np.arange(state.layout.dim) ^ mask
-    return StateVector._dense(state.layout, state._amps[idx])
+    flipped = _blocks(state._amps, qubit, 1)[:, ::-1, :]
+    return StateVector._dense(state.layout, np.ascontiguousarray(flipped).reshape(-1))
 
 
 def apply_xor(state: StateVector, control: int, target: int) -> StateVector:
@@ -390,13 +419,19 @@ def apply_xor(state: StateVector, control: int, target: int) -> StateVector:
     _check_qubit(state, target)
     if control == target:
         raise ValueError("control and target must be different qubits")
-    cmask, tmask = 1 << control, 1 << target
     if state.mode == "sparse":
         idx = state._idx
         return _permuted(state, idx ^ (((idx >> control) & 1) << target))
-    idx = np.arange(state.layout.dim)
-    perm = np.where((idx & cmask) != 0, idx ^ tmask, idx)
-    return StateVector._dense(state.layout, state._amps[perm])
+    # Axis 1 holds the higher of the two qubits, axis 3 the lower one.
+    lo, hi = sorted((control, target))
+    shape = (-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    src = state._amps.reshape(shape)
+    out = state._amps.copy()
+    if control == hi:
+        out.reshape(shape)[:, 1, :, :, :] = src[:, 1, :, ::-1, :]
+    else:
+        out.reshape(shape)[:, :, :, 1, :] = src[:, ::-1, :, 1, :]
+    return StateVector._dense(state.layout, out)
 
 
 def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
@@ -413,13 +448,12 @@ def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
         new_amps = np.concatenate(((a0 + a1) * _SQRT_HALF, (a0 - a1) * _SQRT_HALF))
         order = np.argsort(new_idx, kind="stable")
         return _pruned(state.layout, new_idx[order], new_amps[order])
-    idx = np.arange(state.layout.dim)
-    lower = idx[(idx & mask) == 0]
-    upper = lower | mask
+    src = _blocks(state._amps, qubit, 1)
     out = np.empty_like(state._amps)
-    a0, a1 = state._amps[lower], state._amps[upper]
-    out[lower] = (a0 + a1) * _SQRT_HALF
-    out[upper] = (a0 - a1) * _SQRT_HALF
+    pair = _blocks(out, qubit, 1)
+    np.add(src[:, 0, :], src[:, 1, :], out=pair[:, 0, :])
+    np.subtract(src[:, 0, :], src[:, 1, :], out=pair[:, 1, :])
+    out *= _SQRT_HALF
     return StateVector._dense(state.layout, out)
 
 
@@ -448,13 +482,23 @@ def apply_hamming_phase(state: StateVector, control: int) -> StateVector:
         # phases[n + k] = exp(i * step * k) for k = -n..n
         phases = np.exp(1j * step * np.arange(-n, n + 1))
         return StateVector._sparse(layout, idx, state._amps * phases[n + signed])
-    idx = np.arange(layout.dim)
-    zeros = np.full(layout.dim, n, dtype=np.int64)
-    for b in mem.bits():
-        zeros -= (idx >> b) & 1
-    sigma = np.where((idx & cmask) != 0, -1.0, 1.0)
-    phases = np.exp(1j * step * zeros * sigma)
-    return StateVector._dense(state.layout, state._amps * phases)
+    words = np.arange(1 << n)
+    zeros = np.full(1 << n, n)
+    for k in range(n):
+        zeros -= (words >> k) & 1
+    # table[c, m] is the phase of memory word m under control bit value c.
+    table = np.exp(1j * step * np.outer((1, -1), zeros))
+    if control > mem.offset:
+        # (above, control bit, gap, memory word, below)
+        gap = control - mem.offset - n
+        view = state._amps.reshape(-1, 2, 1 << gap, 1 << n, 1 << mem.offset)
+        phases = table[:, None, :, None]
+    else:
+        # (above, memory word, gap, control bit, below)
+        gap = mem.offset - control - 1
+        view = state._amps.reshape(-1, 1 << n, 1 << gap, 2, 1 << control)
+        phases = table.T[:, None, :, None]
+    return StateVector._dense(layout, (view * phases).reshape(-1))
 
 
 def collapse_qubit(
@@ -485,17 +529,23 @@ def _project(
         return probability, StateVector._sparse(
             state.layout, state._idx[keep], kept / math.sqrt(probability)
         )
-    idx = np.arange(state.layout.dim)
-    keep = (idx & select_mask) == select_value
-    probability = float(np.sum(np.abs(state._amps[keep]) ** 2))
+    kept = _dense_subspace(state._amps, select_mask, select_value)
+    probability = float(np.vdot(kept, kept).real)
     if probability <= 0.0:
         raise ValueError("projection onto a zero-probability subspace")
-    out = np.where(keep, state._amps, 0j) / math.sqrt(probability)
+    out = np.zeros_like(state._amps)
+    _dense_subspace(out, select_mask, select_value)[...] = kept / math.sqrt(probability)
     return probability, StateVector._dense(state.layout, out)
 
 
 def subspace_mass(state: StateVector, select_mask: int, select_value: int) -> float:
-    """Born mass of basis states i with (i & select_mask) == select_value."""
+    """Born mass of basis states i with (i & select_mask) == select_value.
+
+    In dense mode the mask must cover contiguous qubits.
+    """
+    if state.mode == "dense":
+        kept = _dense_subspace(state._amps, select_mask, select_value)
+        return float(np.vdot(kept, kept).real)
     idx, amps = state.arrays()
     kept = amps[(idx & select_mask) == select_value]
     return float(np.vdot(kept, kept).real)
@@ -522,12 +572,18 @@ def measure_register(
     cumulative mass first exceeds one uniform draw.
     """
     reg = state.layout.register(register) if isinstance(register, str) else register
-    idx, amps = state.arrays()
-    values = (idx & reg.mask) >> reg.offset
-    order = np.argsort(values, kind="stable")
-    cumulative = np.cumsum(np.abs(amps[order]) ** 2)
-    first = int(np.searchsorted(cumulative, rng.random(), side="right"))
-    chosen = int(values[order[min(first, idx.size - 1)]])
+    if state.mode == "dense":
+        blocks = np.abs(_blocks(state._amps, reg.offset, reg.width)) ** 2
+        marginal = blocks.sum(axis=(0, 2))
+        first = int(np.searchsorted(np.cumsum(marginal), rng.random(), side="right"))
+        chosen = min(first, int(np.flatnonzero(marginal)[-1]))
+    else:
+        idx, amps = state.arrays()
+        values = (idx & reg.mask) >> reg.offset
+        order = np.argsort(values, kind="stable")
+        cumulative = np.cumsum(np.abs(amps[order]) ** 2)
+        first = int(np.searchsorted(cumulative, rng.random(), side="right"))
+        chosen = int(values[order[min(first, idx.size - 1)]])
     _, collapsed = _project(state, reg.mask, chosen << reg.offset)
     word = "".join(str((chosen >> j) & 1) for j in range(reg.width))
     return word, collapsed
@@ -573,9 +629,9 @@ def reflect_good_subspace(state: StateVector, branch: int) -> StateVector:
         return StateVector._sparse(
             state.layout, state._idx, np.where(flip, -state._amps, state._amps)
         )
-    idx = np.arange(state.layout.dim)
-    flip = (idx & reg.mask) == target
-    return StateVector._dense(state.layout, np.where(flip, -state._amps, state._amps))
+    out = state._amps.copy()
+    _dense_subspace(out, reg.mask, target)[...] *= -1
+    return StateVector._dense(state.layout, out)
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

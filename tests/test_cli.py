@@ -74,6 +74,17 @@ class TestDistributionCommand:
         )
         assert result.returncode == 0
 
+    def test_successes_reported_per_branch(self, pattern_file):
+        path = pattern_file("00\n01\n")
+        result = run_cli(
+            "distribution", "--patterns", path, "--input", "00", "--b", "1",
+            "--shots", "400", "--seed", "3", "--gamma-mode", "fixed:0.5",
+        )
+        results = json.loads(result.stdout)["results"]
+        by_branch = results["successes_by_branch"]
+        assert set(by_branch) == {"0", "1"}
+        assert sum(by_branch.values()) == results["successes"]
+
     def test_malformed_file_exits_2_with_line(self, pattern_file):
         path = pattern_file("00\n0a\n")
         result = run_cli(
@@ -245,6 +256,19 @@ class TestUsageErrors:
         assert result.stderr.strip().splitlines() == [
             "error: a layout holds at most 63 qubits (basis indices are int64),"
             " these registers need 64"
+        ]
+
+    def test_dense_layout_over_24_qubits_exits_3(self, pattern_file):
+        # 20 memory, 4 control and 1 ancilla qubits; refused before any
+        # 2^25-entry vector is allocated.
+        path = pattern_file("0" * 20 + "\n")
+        result = run_cli(
+            "distribution", "--patterns", path, "--input", "0" * 20,
+            "--b", "4", "--seed", "1", "--mode", "dense",
+        )
+        assert result.returncode == 3
+        assert result.stderr.strip().splitlines() == [
+            "error: dense mode supports at most 24 qubits, layout has 25"
         ]
 
 

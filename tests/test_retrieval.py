@@ -506,6 +506,21 @@ class TestSimulateDistribution:
         assert a.empirical_counts == b.empirical_counts
         assert a.failed_rounds == b.failed_rounds
 
+    @pytest.mark.parametrize("mode", ["sparse", "dense"])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_successes_by_branch_sum_to_successes(self, mode, strict):
+        config = RetrievalConfig(
+            b=2, gamma_mode=GammaMode.fixed(0.5), shots=2000, seed=17,
+            representation=mode,
+        )
+        report = simulate_distribution(
+            bp("000"), ps("000", "011", "101"), config, strict=strict
+        )
+        by_branch = report.successes_by_branch
+        assert sum(by_branch.values()) == report.successes
+        for branch in (0, 1):
+            assert 0 < by_branch[branch] <= report.branch_shots[branch]
+
     def test_branch_empiricals_cover_both_branches(self):
         config = RetrievalConfig(
             b=1, gamma_mode=GammaMode.fixed(0.5), shots=20_000, seed=13

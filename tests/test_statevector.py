@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mirrorqam.errors import DimensionError
@@ -507,17 +507,132 @@ class TestEngineProperties:
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(layouts, seeds, st.sampled_from(["memory", "control", "ancilla"]))
     def test_measure_register_follows_born_masses(self, layout, seed, name):
-        state = random_state(layout, seed)
+        # The masses come from the sparse state in both modes.
+        sparse = random_state(layout, seed)
         reg = layout.register(name)
         shots = 2000
+        for state in (sparse, sparse.to_mode("dense")):
+            rng = np.random.default_rng(seed)
+            counts = {}
+            for _ in range(shots):
+                word, after = measure_register(state, reg, rng)
+                counts[word] = counts.get(word, 0) + 1
+            assert abs(after.norm() - 1.0) < NORM_TOLERANCE
+            for value in range(1 << reg.width):
+                word = "".join(str((value >> j) & 1) for j in range(reg.width))
+                mass = subspace_mass(sparse, reg.mask, value << reg.offset)
+                sigma = math.sqrt(max(mass * (1 - mass), 0.0) / shots)
+                assert abs(counts.get(word, 0) / shots - mass) <= 5 * sigma + 1e-9
+
+
+# The dense kernels judged against explicit 2^N x 2^N operators: Kronecker
+# products of 2x2 factors, and a diagonal from the closed-form phase. The
+# layouts put the registers in any order, control below memory included.
+
+PAULI_X = np.array([[0, 1], [1, 0]])
+HADAMARD = np.array([[1, 1], [1, -1]]) * SQ2
+PROJECTORS = (np.diag([1, 0]), np.diag([0, 1]))
+
+any_order_layouts = st.builds(
+    lambda n, b, order: RegisterLayout(
+        [(("memory", n), ("control", b), ("ancilla", 1))[k] for k in order]
+    ),
+    st.integers(1, 4),
+    st.integers(1, 2),
+    st.permutations(range(3)),
+)
+CONTROL_BELOW_MEMORY = RegisterLayout((("control", 2), ("memory", 3), ("ancilla", 1)))
+
+
+def operator(layout, factors):
+    """Kronecker product over all qubits, highest first, identity where unnamed."""
+    out = np.eye(1)
+    for qubit in reversed(range(layout.total_qubits)):
+        out = np.kron(out, factors.get(qubit, np.eye(2)))
+    return out
+
+
+def register_projector(layout, reg, value):
+    """Projector onto the basis states whose register reg holds value."""
+    bits = {q: PROJECTORS[(value >> j) & 1] for j, q in enumerate(reg.bits())}
+    return operator(layout, bits)
+
+
+def phase_diagonal(layout, control):
+    n = layout.n
+    phases = []
+    for i in range(layout.dim):
+        z = layout.memory.decode(i).count(0)
+        sigma = -1 if (i >> control) & 1 else 1
+        phases.append(cmath.exp(1j * math.pi * z * sigma / (2 * n)))
+    return np.diag(phases)
+
+
+class TestDenseAgainstOperators:
+    @PROPERTY
+    @given(
+        any_order_layouts,
+        seeds,
+        st.sampled_from(["not", "xor", "hadamard", "phase", "good", "collapse"]),
+    )
+    @example(CONTROL_BELOW_MEMORY, 1, "phase")
+    @example(CONTROL_BELOW_MEMORY, 2, "good")
+    def test_gate_matches_explicit_operator(self, layout, seed, name):
+        state = random_state(layout, seed, "dense")
+        psi = dense_vector(state)
         rng = np.random.default_rng(seed)
-        counts = {}
-        for _ in range(shots):
-            word, after = measure_register(state, reg, rng)
-            counts[word] = counts.get(word, 0) + 1
-        assert abs(after.norm() - 1.0) < NORM_TOLERANCE
-        for value in range(1 << reg.width):
-            word = "".join(str((value >> j) & 1) for j in range(reg.width))
-            mass = subspace_mass(state, reg.mask, value << reg.offset)
-            sigma = math.sqrt(max(mass * (1 - mass), 0.0) / shots)
-            assert abs(counts.get(word, 0) / shots - mass) <= 5 * sigma + 1e-9
+        qubit = int(rng.integers(layout.total_qubits))
+        if name == "not":
+            got = apply_not(state, qubit)
+            expect = operator(layout, {qubit: PAULI_X}) @ psi
+        elif name == "xor":
+            c, t = (int(q) for q in rng.choice(layout.total_qubits, 2, replace=False))
+            got = apply_xor(state, c, t)
+            cnot = operator(layout, {c: PROJECTORS[0]}) + operator(
+                layout, {c: PROJECTORS[1], t: PAULI_X}
+            )
+            expect = cnot @ psi
+        elif name == "hadamard":
+            got = apply_hadamard(state, qubit)
+            expect = operator(layout, {qubit: HADAMARD}) @ psi
+        elif name == "phase":
+            control = int(rng.choice(list(layout.control.bits())))
+            got = apply_hamming_phase(state, control)
+            expect = phase_diagonal(layout, control) @ psi
+        elif name == "good":
+            branch = seed % 2
+            got = reflect_good_subspace(state, branch)
+            all_bits = (1 << layout.b) - 1 if branch else 0
+            good = register_projector(layout, layout.control, all_bits)
+            expect = (np.eye(layout.dim) - 2 * good) @ psi
+        else:
+            outcome = seed % 2
+            kept = operator(layout, {qubit: PROJECTORS[outcome]}) @ psi
+            mass = float(np.vdot(kept, kept).real)
+            reported = subspace_mass(state, 1 << qubit, outcome << qubit)
+            assert abs(reported - mass) <= 1e-12
+            if mass == 0.0:
+                return
+            probability, got = collapse_qubit(state, qubit, outcome)
+            assert abs(probability - mass) <= 1e-12
+            expect = kept / math.sqrt(mass)
+        assert got.mode == "dense"
+        assert np.max(np.abs(dense_vector(got) - expect)) <= 1e-12
+
+    @PROPERTY
+    @given(any_order_layouts, seeds, st.sampled_from(["memory", "control", "ancilla"]))
+    @example(CONTROL_BELOW_MEMORY, 3, "memory")
+    def test_register_measurement_projects_onto_the_outcome(self, layout, seed, name):
+        state = random_state(layout, seed, "dense")
+        reg = layout.register(name)
+        word, got = measure_register(state, reg, np.random.default_rng(seed))
+        value = sum(1 << j for j, c in enumerate(word) if c == "1")
+        kept = register_projector(layout, reg, value) @ dense_vector(state)
+        expect = kept / np.linalg.norm(kept)
+        assert np.max(np.abs(dense_vector(got) - expect)) <= 1e-12
+
+    @pytest.mark.parametrize("mask, value", [(0b101, 0), (0b110, 0b001)])
+    def test_dense_selection_off_a_contiguous_mask_is_refused(self, mask, value):
+        state = StateVector.basis_state(RegisterLayout.memory_only(3), 0, "dense")
+        with pytest.raises(ValueError, match="contiguous mask"):
+            subspace_mass(state, mask, value)
