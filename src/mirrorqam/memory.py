@@ -55,6 +55,14 @@ class CloneResult:
     norm: float
 
 
+def check_branch_weights(gamma: float, gamma_bar: float) -> None:
+    """Refuse branch weights that are negative or do not sum to 1 within 1e-12."""
+    if gamma < 0 or gamma_bar < 0:
+        raise ValueError("branch weights must be nonnegative")
+    if abs(gamma + gamma_bar - 1.0) > 1e-12:
+        raise ValueError(f"gamma + gamma_bar must be 1, got {gamma + gamma_bar!r}")
+
+
 def build_memory_state(
     patterns: PatternSet, layout: RegisterLayout | None = None, mode: str = "sparse"
 ) -> StateVector:
@@ -72,7 +80,7 @@ def build_memory_state(
         )
     amp = complex(1.0 / math.sqrt(patterns.p))
     return StateVector.from_amplitudes(
-        layout, {mem.encode(q.bits): amp for q in patterns}, mode=mode
+        layout, {q.value << mem.offset: amp for q in patterns}, mode=mode
     )
 
 
@@ -194,10 +202,7 @@ def apply_clone(
     is computed and reported; a norm off 1 raises instead of being
     silently renormalized.
     """
-    if abs(gamma + gamma_bar - 1.0) > 1e-12:
-        raise ValueError(f"gamma + gamma_bar must be 1, got {gamma + gamma_bar!r}")
-    if gamma < 0 or gamma_bar < 0:
-        raise ValueError("efficiencies must be nonnegative")
+    check_branch_weights(gamma, gamma_bar)
     if layout is None:
         layout = RegisterLayout.cloning(patterns.n)
     master, copy_reg, anc = layout.memory, layout.register("copy"), layout.ancilla
@@ -205,32 +210,29 @@ def apply_clone(
         raise DimensionError(
             f"cloning layout registers must hold {patterns.n} qubits each"
         )
-    mirrored = mirror_set(patterns)
+    stored = np.array([q.value for q in patterns], dtype=np.int64)
+    mirrored = stored ^ ((1 << patterns.n) - 1)
     if source == "memory":
-        first, branches = patterns, ((gamma, patterns), (gamma_bar, mirrored))
+        first, weights, copies = stored, (gamma, gamma_bar), (stored, mirrored)
     elif source == "mirror":
-        first, branches = mirrored, ((gamma_bar, mirrored), (gamma, patterns))
+        first, weights, copies = mirrored, (gamma_bar, gamma), (mirrored, stored)
     else:
         raise ValueError(f"source must be 'memory' or 'mirror', got {source!r}")
 
-    amps: dict[int, complex] = {}
-    anc_mask = 1 << anc.offset
-    for anc_value, (weight, copy_content) in enumerate(branches):
-        if weight == 0.0:
-            continue
-        w = complex(math.sqrt(weight) / patterns.p)
-        for a_pat in first:
-            ia = master.encode(a_pat.bits)
-            for b_pat in copy_content:
-                index = ia | copy_reg.encode(b_pat.bits)
-                if anc_value:
-                    index |= anc_mask
-                amps[index] = amps.get(index, 0j) + w
-    norm = math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
+    # indices[a, i, j]: ancilla a, master word first[i], copy word copies[a][j].
+    # They are distinct; a zero weight gives zero amplitudes, which the
+    # constructor drops.
+    indices = (
+        (np.arange(2)[:, None, None] << anc.offset)
+        | (first[:, None] << master.offset)
+        | (np.stack(copies)[:, None, :] << copy_reg.offset)
+    )
+    amps = np.repeat(np.sqrt(weights) / patterns.p, patterns.p**2)
+    norm = math.sqrt(float(np.vdot(amps, amps).real))
     if abs(norm - 1.0) > NORM_TOLERANCE:
         raise ValueError(
             f"cloning construction has norm {norm!r}; refusing to renormalize"
         )
     return CloneResult(
-        state=StateVector.from_amplitudes(layout, amps, mode=mode), norm=norm
+        state=StateVector.from_arrays(layout, indices, amps, mode=mode), norm=norm
     )

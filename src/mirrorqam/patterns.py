@@ -1,9 +1,13 @@
 """Bit patterns, pattern sets, Hamming arithmetic, and pattern-file parsing.
 
 Bit-order convention: a pattern is written leftmost-first, so the leftmost
-character of a line is qubit 1 of the corresponding register. Pattern files
-are UTF-8 text with one pattern per line; blank lines and lines starting
-with '#' are ignored. Duplicate patterns are rejected rather than silently
+character of a line is qubit 1 of the corresponding register. A pattern is
+stored as one word: bit j of BitPattern.value is character j of the string,
+the little-endian order of basis indices, so a pattern shifted by a
+register's offset is that register's part of a basis index. This module
+alone converts between bit strings and words. Pattern files are UTF-8
+text with one pattern per line; blank lines and lines starting with '#'
+are ignored. Duplicate patterns are rejected rather than silently
 deduplicated, because the stored superposition weights every pattern
 equally and a silent dedup would change the pattern count.
 """
@@ -11,6 +15,7 @@ equally and a silent dedup would change the pattern count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import DimensionError, PatternParseError
@@ -18,32 +23,43 @@ from .errors import DimensionError, PatternParseError
 
 @dataclass(frozen=True)
 class BitPattern:
-    """An ordered n-bit binary word; the unit of storage and retrieval."""
+    """An ordered n-bit binary word; the unit of storage and retrieval.
 
-    bits: tuple[int, ...]
+    Bit j of value is character j of the pattern string.
+    """
+
+    value: int
+    n: int
 
     def __post_init__(self):
-        if len(self.bits) < 1:
+        if self.n < 1:
             raise ValueError("a pattern needs at least one bit")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"pattern bits must be 0 or 1, got {self.bits!r}")
+        if not 0 <= self.value < 1 << self.n:
+            raise ValueError(f"value {self.value!r} does not fit in {self.n} bits")
+
+    def __hash__(self) -> int:
+        # Distribution reports sum the total variation distance over a set of
+        # patterns, so its last digit follows this hash; hashing the bit tuple
+        # (computed once per pattern) keeps seeded reports byte for byte as
+        # they were when patterns were stored as bit tuples.
+        return hash((self.bits,))
 
     @classmethod
     def from_string(cls, text: str) -> BitPattern:
         if not text or any(c not in "01" for c in text):
             raise ValueError(f"not a binary string: {text!r}")
-        return cls(tuple(int(c) for c in text))
+        return cls(int(text[::-1], 2), len(text))
 
-    @property
-    def n(self) -> int:
-        return len(self.bits)
+    @cached_property
+    def bits(self) -> tuple[int, ...]:
+        return tuple((self.value >> j) & 1 for j in range(self.n))
 
     def mirror(self) -> BitPattern:
         """Bitwise complement; an involution."""
-        return BitPattern(tuple(1 - b for b in self.bits))
+        return BitPattern(self.value ^ ((1 << self.n) - 1), self.n)
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.n
 
     def __getitem__(self, j: int) -> int:
         return self.bits[j]
@@ -52,7 +68,7 @@ class BitPattern:
         return iter(self.bits)
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return format(self.value, f"0{self.n}b")[::-1]
 
 
 @dataclass(frozen=True)
@@ -99,7 +115,7 @@ def hamming_distance(a: BitPattern, b: BitPattern) -> int:
     """Number of positions where the two patterns differ."""
     if a.n != b.n:
         raise DimensionError(f"length mismatch: {a.n} vs {b.n}")
-    return sum(x != y for x, y in zip(a.bits, b.bits))
+    return (a.value ^ b.value).bit_count()
 
 
 def mirror(a: BitPattern) -> BitPattern:
@@ -157,8 +173,4 @@ def random_pattern_set(n: int, p: int, rng) -> PatternSet:
     chosen: set[int] = set()
     while len(chosen) < p:
         chosen.add(int(rng.integers(0, 2**n)))
-    return PatternSet(
-        tuple(
-            BitPattern(tuple((v >> j) & 1 for j in range(n))) for v in sorted(chosen)
-        )
-    )
+    return PatternSet(tuple(BitPattern(v, n) for v in sorted(chosen)))

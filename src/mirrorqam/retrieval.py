@@ -25,15 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InfeasibleCloningError, ZeroMassError
-from .memory import memory_overlap, solve_efficiencies
+from .memory import check_branch_weights, memory_overlap, solve_efficiencies
 from .patterns import BitPattern, PatternSet, hamming_distance
 from .statevector import (
     RegisterLayout,
     StateVector,
     apply_hadamard,
     apply_hamming_phase,
-    apply_not,
     collapse_qubit,
+    flip_bits,
     measure_qubit,
     measure_register,
     reflect_about_state,
@@ -42,6 +42,10 @@ from .statevector import (
 )
 
 _ESTIMATE_OFFSETS = (0, 1, -1, 2, -2)
+_NO_RETRIEVABLE_MASS = (
+    "every stored pattern is at maximal distance from the input;"
+    " retrieval is impossible"
+)
 
 
 @dataclass(frozen=True)
@@ -61,10 +65,7 @@ class GammaMode:
         if self.kind not in ("memory-only", "cloning", "fixed"):
             raise ValueError(f"unknown gamma mode {self.kind!r}")
         if self.kind == "fixed":
-            if self.gamma < 0 or self.gamma_bar < 0:
-                raise ValueError("fixed efficiencies must be nonnegative")
-            if abs(self.gamma + self.gamma_bar - 1.0) > 1e-12:
-                raise ValueError("fixed efficiencies must sum to 1")
+            check_branch_weights(self.gamma, self.gamma_bar)
 
     @classmethod
     def memory_only(cls) -> GammaMode:
@@ -256,12 +257,9 @@ def prepare_initial(
         raise DimensionError(
             f"memory register holds {mem.width} qubits, patterns have {patterns.n}"
         )
-    if gamma < 0 or gamma_bar < 0:
-        raise ValueError("branch weights must be nonnegative")
-    if abs(gamma + gamma_bar - 1.0) > 1e-12:
-        raise ValueError(f"gamma + gamma_bar must be 1, got {gamma + gamma_bar!r}")
+    check_branch_weights(gamma, gamma_bar)
     p = patterns.p
-    words = np.array([mem.encode(q.bits) for q in patterns], dtype=np.int64)
+    words = np.array([q.value for q in patterns], dtype=np.int64) << mem.offset
     mirrored = (words ^ mem.mask) | (1 << anc.offset)
     # A zero branch weight gives zero amplitudes, which the constructor drops.
     amplitudes = np.repeat([math.sqrt(gamma / p), math.sqrt(gamma_bar / p)], p)
@@ -284,11 +282,8 @@ def apply_difference_encoding(
         raise DimensionError(
             f"input has {input_pattern.n} bits, memory register {mem.width}"
         )
-    out = state
-    for j, bit in enumerate(input_pattern.bits):
-        if bit == 0:
-            out = apply_not(out, mem.offset + j)
-    return out
+    full = (1 << mem.width) - 1
+    return flip_bits(state, (~input_pattern.value & full) << mem.offset)
 
 
 def undo_difference_encoding(
@@ -340,16 +335,12 @@ def _law_weights(
             f"input has {input_pattern.n} bits, patterns have {patterns.n}"
         )
     n = patterns.n
-    weights = []
-    for q in patterns:
-        d = hamming_distance(input_pattern, q)
-        if b == 0:
-            weights.append(1.0)
-        elif d == n:
-            weights.append(0.0)
-        else:
-            weights.append(math.cos(math.pi * d / (2 * n)) ** (2 * b))
-    return weights
+    distances = [hamming_distance(input_pattern, q) for q in patterns]
+    # cos(pi / 2) is not exactly 0, hence the d = n case; for b = 0, x ** 0 is 1.0.
+    return [
+        0.0 if d == n and b else math.cos(math.pi * d / (2 * n)) ** (2 * b)
+        for d in distances
+    ]
 
 
 def analytic_distribution(
@@ -367,10 +358,7 @@ def analytic_distribution(
     unnormalized = {q: w / patterns.p for q, w in zip(patterns, weights)}
     good_mass = sum(unnormalized.values())
     if good_mass == 0.0:
-        raise ZeroMassError(
-            "every stored pattern is at maximal distance from the input;"
-            " retrieval is impossible"
-        )
+        raise ZeroMassError(_NO_RETRIEVABLE_MASS)
     conditional = {q: w / good_mass for q, w in unnormalized.items()}
     return AnalyticDistribution(unnormalized, conditional, good_mass)
 
@@ -440,18 +428,26 @@ def _retrieval_pipeline(
 
     The analytic weight (1/p) cos^{2b}(pi d / 2n) is zero exactly when
     d = n, so an instance has no retrievable mass exactly when every
-    stored pattern is the complement of the input.
+    stored pattern is the complement of the input; as patterns are
+    distinct, that is a memory holding the complement alone.
     """
     gamma, gamma_bar = resolve_gamma(config.gamma_mode, patterns)
-    complement = input_pattern.mirror()
-    if all(q == complement for q in patterns):
-        raise ZeroMassError(
-            "every stored pattern is at maximal distance from the input;"
-            " retrieval is impossible"
-        )
+    if patterns.patterns == (input_pattern.mirror(),):
+        raise ZeroMassError(_NO_RETRIEVABLE_MASS)
     return run_pipeline(
         input_pattern, patterns, gamma, gamma_bar, config.b, config.representation
     )
+
+
+def _read_out(
+    state: StateVector, branch: int, rng
+) -> tuple[BitPattern, BitPattern] | None:
+    """Measure controls, then memory if all read branch: (raw, corrected) or None."""
+    word, state = measure_register(state, "control", rng)
+    if word != str(branch) * len(word):
+        return None
+    raw = BitPattern.from_string(measure_register(state, "memory", rng)[0])
+    return raw, raw.mirror() if branch else raw
 
 
 def retrieve(
@@ -480,13 +476,10 @@ def retrieve(
     p_good = good_subspace_probability(state, branch)
     k = _resolve_iterations(config.amplification_mode, p_good, config.b, round_index)
     state = amplitude_amplify(state, branch, k)
-    word, state = measure_register(state, "control", rng)
-    if any(c != str(branch) for c in word):
+    readout = _read_out(state, branch, rng)
+    if readout is None:
         return RetrievalOutcome(branch, k, p_good, False, None, None)
-    memory_word, _ = measure_register(state, "memory", rng)
-    raw = BitPattern.from_string(memory_word)
-    output = raw.mirror() if branch == 1 else raw
-    return RetrievalOutcome(branch, k, p_good, True, raw, output)
+    return RetrievalOutcome(branch, k, p_good, True, *readout)
 
 
 def run_retrieval(
@@ -516,12 +509,6 @@ def run_retrieval(
         if outcome.succeeded:
             return RetrievalRun(outcome, tuple(rounds), index)
     return RetrievalRun(None, tuple(rounds), max_rounds)
-
-
-def _support_arrays(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
-    indices, amps = state.arrays()
-    probs = np.abs(amps) ** 2
-    return indices, probs / probs.sum()
 
 
 def simulate_distribution(
@@ -560,7 +547,6 @@ def simulate_distribution(
         branch_states[branch] = amplitude_amplify(collapsed, branch, k)
         iterations[branch] = k
 
-    success_counts: Counter[BitPattern] = Counter()
     branch_counts: dict[int, Counter[BitPattern]] = {0: Counter(), 1: Counter()}
     branch_shots = {0: 0, 1: 0}
     failed = 0
@@ -569,41 +555,32 @@ def simulate_distribution(
         for _ in range(config.shots):
             branch = 1 if rng.random() < gamma_bar else 0
             branch_shots[branch] += 1
-            word, after = measure_register(branch_states[branch], "control", rng)
-            if any(c != str(branch) for c in word):
+            readout = _read_out(branch_states[branch], branch, rng)
+            if readout is None:
                 failed += 1
-                continue
-            memory_word, _ = measure_register(after, "memory", rng)
-            pattern = BitPattern.from_string(memory_word)
-            if branch == 1:
-                pattern = pattern.mirror()
-            success_counts[pattern] += 1
-            branch_counts[branch][pattern] += 1
+            else:
+                branch_counts[branch][readout[1]] += 1
     else:
         us = rng.random(config.shots)
         branches = np.where(us < gamma_bar, 1, 0)
-        full = (1 << mem.width) - 1
         for branch in (0, 1):
             count = int(np.sum(branches == branch))
             branch_shots[branch] = count
             if count == 0 or branch not in branch_states:
                 continue
-            indices, probs = _support_arrays(branch_states[branch])
-            draws = indices[rng.choice(len(indices), size=count, p=probs)]
+            indices, amps = branch_states[branch].arrays()
+            probs = np.abs(amps) ** 2
+            draws = indices[rng.choice(indices.size, size=count, p=probs / probs.sum())]
             target = control.mask if branch else 0
             good = (draws & control.mask) == target
             failed += int(np.sum(~good))
             memory_values = (draws[good] & mem.mask) >> mem.offset
-            if branch == 1:
-                memory_values = memory_values ^ full
             values, counts = np.unique(memory_values, return_counts=True)
             for value, c in zip(values, counts):
-                pattern = BitPattern(
-                    tuple((int(value) >> j) & 1 for j in range(mem.width))
-                )
-                success_counts[pattern] += int(c)
-                branch_counts[branch][pattern] += int(c)
+                raw = BitPattern(int(value), mem.width)
+                branch_counts[branch][raw.mirror() if branch else raw] += int(c)
 
+    success_counts = branch_counts[0] + branch_counts[1]
     successes = sum(success_counts.values())
     empirical = (
         {q: c / successes for q, c in success_counts.items()} if successes else {}

@@ -8,21 +8,22 @@ the leftmost character of a pattern string.
 Two storage modes exist. Sparse mode (default) holds a state as two aligned
 arrays: the sorted, duplicate-free int64 basis indices of its support and
 their complex128 amplitudes. Every gate is array arithmetic over the whole
-support: NOT and XOR rewrite indices and re-sort, the distance phase is a
-masked popcount, the Hadamard pairs each index with its partner, and
-projection and measurement select by index masks. Amplitudes whose
-magnitude is at most PRUNE_THRESHOLD are dropped when a state is built or
-converted and after the amplitude-mixing operations (Hadamard and
-reflection about a state); the other operations keep the support or
-project it. int64 indices limit layouts to 63 qubits. Dense mode
-keeps the full 2**total_qubits vector, at most 24 qubits, and is written
-separately, as the reference that sparse results are cross-validated
-against; both modes implement every operation and agree
+support: flip_bits (NOT on every qubit of a mask at once) and XOR rewrite
+indices and re-sort, the distance phase is a masked popcount, the Hadamard
+pairs each index with its partner, and projection and measurement select
+by index masks. Amplitudes whose magnitude is at most PRUNE_THRESHOLD are
+dropped when a state is built or converted and after the amplitude-mixing
+operations (Hadamard and reflection about a state); the other operations
+keep the support or project it. int64 indices limit layouts to 63 qubits.
+Dense mode keeps the full 2**total_qubits vector, at most 24 qubits, and is
+written separately, as the reference that sparse results are
+cross-validated against; both modes implement every operation and agree
 amplitude-by-amplitude. Dense kernels never build a per-basis-state index
 table: each reshapes the vector so that the qubit or register it acts on
 is one axis, then reverses, swaps, combines, scales or sums along that
-axis. The distance phase multiplies by a table over memory words only.
-Dense code shares no kernel with the sparse code.
+axis; flip_bits reverses every axis of its mask in one copy. The distance
+phase multiplies by a table over memory words only. Dense code shares no
+kernel with the sparse code.
 
 All operations return new StateVector values; the arrays of an existing
 value are read-only and never mutated, so sharing across threads is safe.
@@ -40,6 +41,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionError
+from .patterns import BitPattern
 
 PRUNE_THRESHOLD = 1e-14
 NORM_TOLERANCE = 1e-10
@@ -77,11 +79,7 @@ class Register:
             raise DimensionError(
                 f"register {self.name!r} holds {self.width} qubits, got {len(bits)} bits"
             )
-        value = 0
-        for j, b in enumerate(bits):
-            if b:
-                value |= 1 << (self.offset + j)
-        return value
+        return sum(1 << (self.offset + j) for j, b in enumerate(bits) if b)
 
     def decode(self, index: int) -> tuple[int, ...]:
         """Extract this register's bits (first qubit first) from a basis index."""
@@ -397,20 +395,30 @@ def _pruned(layout: RegisterLayout, idx: np.ndarray, amps: np.ndarray) -> StateV
 
 def _permuted(state: StateVector, idx: np.ndarray) -> StateVector:
     """Sparse state with state's amplitudes moved to the rewritten indices idx."""
-    # The rewritten indices form a few sorted runs, which a stable sort merges
-    # in near-linear time.
+    # Flipping a bit swaps the two halves of aligned index blocks, so idx is
+    # left in ascending or descending runs; the stable kind (timsort for
+    # int64) merges such runs in near-linear time.
     order = np.argsort(idx, kind="stable")
     return StateVector._sparse(state.layout, idx[order], state._amps[order])
+
+
+def flip_bits(state: StateVector, mask: int) -> StateVector:
+    """Flip every qubit set in mask on every basis state (a product of Pauli X)."""
+    total = state.layout.total_qubits
+    if not 0 <= mask < state.layout.dim:
+        raise IndexError(f"mask {mask:#x} reaches outside the {total}-qubit layout")
+    if state.mode == "sparse":
+        return _permuted(state, state._idx ^ mask)
+    # Axis k of the (2,) * total view is qubit total - 1 - k.
+    axes = tuple(total - 1 - q for q in range(total) if (mask >> q) & 1)
+    flipped = np.flip(state._amps.reshape((2,) * total), axis=axes)
+    return StateVector._dense(state.layout, flipped.reshape(-1))
 
 
 def apply_not(state: StateVector, qubit: int) -> StateVector:
     """Flip one qubit on every basis state (Pauli X)."""
     _check_qubit(state, qubit)
-    mask = 1 << qubit
-    if state.mode == "sparse":
-        return _permuted(state, state._idx ^ mask)
-    flipped = _blocks(state._amps, qubit, 1)[:, ::-1, :]
-    return StateVector._dense(state.layout, np.ascontiguousarray(flipped).reshape(-1))
+    return flip_bits(state, 1 << qubit)
 
 
 def apply_xor(state: StateVector, control: int, target: int) -> StateVector:
@@ -585,8 +593,7 @@ def measure_register(
         first = int(np.searchsorted(cumulative, rng.random(), side="right"))
         chosen = int(values[order[min(first, idx.size - 1)]])
     _, collapsed = _project(state, reg.mask, chosen << reg.offset)
-    word = "".join(str((chosen >> j) & 1) for j in range(reg.width))
-    return word, collapsed
+    return str(BitPattern(chosen, reg.width)), collapsed
 
 
 def probability_of_subspace(

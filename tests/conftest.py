@@ -10,7 +10,7 @@ def rng():
 
 
 def random_input(n, rng):
-    return BitPattern(tuple(int(x) for x in rng.integers(0, 2, n)))
+    return BitPattern.from_string("".join(str(x) for x in rng.integers(0, 2, n)))
 
 
 def random_instance(rng, n_lo=3, n_hi=6, p_lo=2, p_hi=8, b_lo=1, b_hi=4):

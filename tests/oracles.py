@@ -9,14 +9,19 @@ the code paths they check.
 
 import math
 
-from mirrorqam.patterns import BitPattern, PatternSet, hamming_distance
+from mirrorqam.patterns import BitPattern, PatternSet
+
+
+def string_distance(a: BitPattern, b: BitPattern) -> int:
+    """Hamming distance counted on the two pattern strings, not on the words."""
+    return sum(x != y for x, y in zip(str(a), str(b), strict=True))
 
 
 def branch_joint_probability(
     input_pattern: BitPattern, stored: BitPattern, n: int, b: int, branch_weight: float
 ) -> float:
     """weight * (1/p-free) cos^{2b}(pi d / 2n); caller divides by p."""
-    d = hamming_distance(input_pattern, stored)
+    d = string_distance(input_pattern, stored)
     return branch_weight * math.cos(math.pi * d / (2 * n)) ** (2 * b)
 
 
@@ -32,7 +37,7 @@ def mirror_branch_conditional(
     n = patterns.n
     weights = {}
     for q in patterns:
-        agreements = n - hamming_distance(input_pattern, q)
+        agreements = n - string_distance(input_pattern, q)
         weights[q] = math.sin(math.pi * agreements / (2 * n)) ** (2 * b)
     total = sum(weights.values())
     return {q: w / total for q, w in weights.items()}

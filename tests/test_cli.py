@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,6 +259,28 @@ class TestUsageErrors:
             " these registers need 64"
         ]
 
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (("complexity", "--input", "0" * 100, "--b-range", "1:2"), 0),
+            (("clone-check",), 0),
+            (("retrieve", "--input", "0" * 100, "--b", "1", "--seed", "1"), 3),
+        ],
+    )
+    def test_100_bit_patterns_exit_3_only_where_a_layout_is_built(
+        self, pattern_file, args, code
+    ):
+        # Words of 100 bits do not fit int64; only building the retrieval
+        # layout may refuse them, before any index array is made.
+        path = pattern_file("0" * 100 + "\n" + "1" * 100 + "\n" + "01" * 50 + "\n")
+        result = run_cli(args[0], "--patterns", path, *args[1:])
+        assert result.returncode == code
+        expected = [
+            "error: a layout holds at most 63 qubits (basis indices are int64),"
+            " these registers need 102"
+        ]
+        assert result.stderr.strip().splitlines() == (expected if code else [])
+
     def test_dense_layout_over_24_qubits_exits_3(self, pattern_file):
         # 20 memory, 4 control and 1 ancilla qubits; refused before any
         # 2^25-entry vector is allocated.
@@ -347,3 +370,59 @@ class TestReproducibility:
             "--format", "csv",
         )
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+# Seeded runs on GOLDEN/patterns.txt (n=6, two complementary pairs among 7
+# patterns); fixed:0.5 puts shots on both branches. Each GOLDEN/<name>.json
+# holds the results section an earlier version printed for these flags, so
+# a change that moves a sampled outcome, a count or the last digit of a
+# float between versions shows here.
+GOLDEN_CASES = {
+    "distribution-sparse-bulk": (
+        "distribution", "--input", "001001", "--b", "3", "--shots", "2000",
+        "--seed", "11", "--gamma-mode", "fixed:0.5",
+    ),
+    "distribution-sparse-strict": (
+        "distribution", "--input", "001001", "--b", "3", "--shots", "400",
+        "--seed", "11", "--gamma-mode", "fixed:0.5", "--strict-deterministic",
+    ),
+    "distribution-dense-bulk": (
+        "distribution", "--input", "001001", "--b", "3", "--shots", "2000",
+        "--seed", "12", "--gamma-mode", "fixed:0.5", "--mode", "dense",
+    ),
+    "distribution-dense-strict": (
+        "distribution", "--input", "001001", "--b", "3", "--shots", "400",
+        "--seed", "12", "--gamma-mode", "fixed:0.5", "--mode", "dense",
+        "--strict-deterministic",
+    ),
+    "retrieve-sparse": (
+        "retrieve", "--input", "001001", "--b", "3", "--seed", "11",
+        "--gamma-mode", "fixed:0.5", "--strict-deterministic",
+    ),
+    "retrieve-sparse-all-rounds-fail": (
+        "retrieve", "--input", "001001", "--b", "3", "--seed", "3",
+        "--gamma-mode", "fixed:0.5", "--amp-mode", "fixed:0", "--retries", "4",
+    ),
+    "retrieve-dense-retry": (
+        "retrieve", "--input", "001001", "--b", "3", "--seed", "1",
+        "--gamma-mode", "fixed:0.5", "--amp-mode", "fixed:0", "--retries", "4",
+        "--mode", "dense",
+    ),
+    "clone-check": ("clone-check",),
+    "complexity": ("complexity", "--input", "001001", "--b-range", "1:4"),
+}
+
+
+def golden_results(stdout):
+    return json.dumps(json.loads(stdout)["results"], sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_seeded_results_match_golden_file(name):
+    args = GOLDEN_CASES[name]
+    result = run_cli(args[0], "--patterns", str(GOLDEN / "patterns.txt"), *args[1:])
+    assert result.returncode == 0, result.stderr
+    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert golden_results(result.stdout) == expected

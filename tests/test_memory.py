@@ -14,7 +14,8 @@ from mirrorqam.memory import (
     memory_overlap,
     solve_efficiencies,
 )
-from mirrorqam.patterns import PatternSet, mirror_set, random_pattern_set
+from mirrorqam.patterns import BitPattern, PatternSet, mirror_set, random_pattern_set
+from mirrorqam.retrieval import GammaMode, prepare_initial
 from mirrorqam.statevector import (
     RegisterLayout,
     inner_product,
@@ -222,6 +223,22 @@ class TestApplyClone:
     def test_rejects_bad_weight_sum(self):
         with pytest.raises(ValueError, match="must be 1"):
             apply_clone("memory", SET_S_ONE, 0.6, 0.6)
+
+    def test_every_caller_shares_the_branch_weight_check(self):
+        layout = RegisterLayout.retrieval(2, 1)
+        callers = (
+            lambda g, gb: GammaMode.fixed(g, gb),
+            lambda g, gb: prepare_initial(
+                BitPattern.from_string("00"), SET_S_ONE, g, gb, layout
+            ),
+            lambda g, gb: apply_clone("memory", SET_S_ONE, g, gb),
+        )
+        for call in callers:
+            call(0.5, 0.5 + 1e-13)
+            with pytest.raises(ValueError, match="must be 1"):
+                call(0.5, 0.5 + 1e-11)
+            with pytest.raises(ValueError, match="nonnegative"):
+                call(-0.25, 1.25)
 
     def test_rejects_unknown_source(self):
         with pytest.raises(ValueError, match="source"):

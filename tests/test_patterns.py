@@ -31,8 +31,22 @@ class TestBitPattern:
             BitPattern.from_string("")
         with pytest.raises(ValueError):
             BitPattern.from_string("01a")
-        with pytest.raises(ValueError):
-            BitPattern((0, 2))
+        for value, n in ((4, 2), (-1, 2), (0, 0)):
+            with pytest.raises(ValueError):
+                BitPattern(value, n)
+
+    def test_word_matches_per_bit_definitions(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(1, 101))
+            text, other = ("".join(str(x) for x in rng.integers(0, 2, n)) for _ in "ab")
+            a, b = bp(text), bp(other)
+            assert a.value == sum(int(c) << j for j, c in enumerate(text))
+            assert (str(a), a.n, len(a)) == (text, n, n)
+            assert a.bits == tuple(a) == tuple(int(c) for c in text)
+            j = int(rng.integers(n))
+            assert a[j] == int(text[j])
+            assert str(a.mirror()) == "".join("10"[int(c)] for c in text)
+            assert hamming_distance(a, b) == sum(x != y for x, y in zip(text, other))
 
     def test_hashable_and_iterable(self):
         assert len({bp("01"), bp("01"), bp("10")}) == 2
@@ -65,9 +79,7 @@ class TestHammingDistance:
     def test_symmetry_and_mirror_identity_exhaustive(self):
         # Every pair for n up to 4.
         for n in (1, 2, 3, 4):
-            words = [
-                BitPattern(tuple((v >> j) & 1 for j in range(n))) for v in range(2**n)
-            ]
+            words = [BitPattern(v, n) for v in range(2**n)]
             for a, b in itertools.product(words, words):
                 d = hamming_distance(a, b)
                 assert 0 <= d <= n

@@ -19,6 +19,7 @@ from mirrorqam.statevector import (
     apply_not,
     apply_xor,
     collapse_qubit,
+    flip_bits,
     inner_product,
     measure_qubit,
     measure_register,
@@ -130,6 +131,10 @@ class TestNot:
     def test_rejects_out_of_range(self):
         with pytest.raises(IndexError):
             apply_not(one_qubit(), 1)
+        for mode in ("sparse", "dense"):
+            for mask in (-1, 0b10):
+                with pytest.raises(IndexError):
+                    flip_bits(one_qubit(mode), mask)
 
 
 class TestXor:
@@ -479,7 +484,7 @@ class TestEngineProperties:
     def test_difference_encoding_is_an_involution(self, layout, seed, input_seed):
         state = random_state(layout, seed)
         bits = np.random.default_rng(input_seed).integers(0, 2, layout.n)
-        word = BitPattern(tuple(int(x) for x in bits))
+        word = BitPattern.from_string("".join(str(x) for x in bits))
         twice = apply_difference_encoding(apply_difference_encoding(state, word), word)
         assert twice.as_dict() == state.as_dict()
 
@@ -618,6 +623,22 @@ class TestDenseAgainstOperators:
             expect = kept / math.sqrt(mass)
         assert got.mode == "dense"
         assert np.max(np.abs(dense_vector(got) - expect)) <= 1e-12
+
+    @PROPERTY
+    @given(any_order_layouts, seeds, seeds, st.sampled_from(["sparse", "dense"]))
+    def test_flip_bits_is_a_product_of_nots(self, layout, seed, mask_seed, mode):
+        # Both modes, against the Kronecker product of Pauli X factors and
+        # against one apply_not per masked qubit.
+        state = random_state(layout, seed, mode)
+        mask = mask_seed % layout.dim
+        qubits = [q for q in range(layout.total_qubits) if (mask >> q) & 1]
+        got = flip_bits(state, mask)
+        flips = operator(layout, dict.fromkeys(qubits, PAULI_X))
+        assert got.mode == mode
+        assert np.array_equal(dense_vector(got), flips @ dense_vector(state))
+        for qubit in qubits:
+            state = apply_not(state, qubit)
+        assert got.as_dict() == state.as_dict()
 
     @PROPERTY
     @given(any_order_layouts, seeds, st.sampled_from(["memory", "control", "ancilla"]))
