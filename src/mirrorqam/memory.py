@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SingularOverlapError
-from .patterns import PatternSet, mirror_set
+from .errors import SingularOverlapError
+from .patterns import PatternSet, check_width, mirror_set
 from .statevector import NORM_TOLERANCE, RegisterLayout, StateVector
 
 GRAM_TOLERANCE = 1e-10
@@ -56,7 +56,12 @@ class CloneResult:
 
 
 def check_branch_weights(gamma: float, gamma_bar: float) -> None:
-    """Refuse branch weights that are negative or do not sum to 1 within 1e-12."""
+    """Refuse branch weights that are not finite or are negative.
+
+    Also refuse a pair whose sum misses 1 by more than 1e-12.
+    """
+    if not (math.isfinite(gamma) and math.isfinite(gamma_bar)):
+        raise ValueError(f"branch weights must be finite, got {gamma!r}, {gamma_bar!r}")
     if gamma < 0 or gamma_bar < 0:
         raise ValueError("branch weights must be nonnegative")
     if abs(gamma + gamma_bar - 1.0) > 1e-12:
@@ -74,10 +79,7 @@ def build_memory_state(
     if layout is None:
         layout = RegisterLayout.memory_only(patterns.n)
     mem = layout.memory
-    if mem.width != patterns.n:
-        raise DimensionError(
-            f"memory register holds {mem.width} qubits, patterns have {patterns.n}"
-        )
+    check_width(patterns.n, memory=mem.width)
     amp = complex(1.0 / math.sqrt(patterns.p))
     return StateVector.from_amplitudes(
         layout, {q.value << mem.offset: amp for q in patterns}, mode=mode
@@ -206,10 +208,7 @@ def apply_clone(
     if layout is None:
         layout = RegisterLayout.cloning(patterns.n)
     master, copy_reg, anc = layout.memory, layout.register("copy"), layout.ancilla
-    if master.width != patterns.n or copy_reg.width != patterns.n:
-        raise DimensionError(
-            f"cloning layout registers must hold {patterns.n} qubits each"
-        )
+    check_width(patterns.n, memory=master.width, copy=copy_reg.width)
     stored = np.array([q.value for q in patterns], dtype=np.int64)
     mirrored = stored ^ ((1 << patterns.n) - 1)
     if source == "memory":

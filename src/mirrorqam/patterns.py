@@ -111,6 +111,19 @@ class PatternSet:
         return item in self.patterns
 
 
+def check_width(n: int, **widths: int) -> None:
+    """Raise DimensionError unless every named width equals the pattern length n.
+
+    Callers name what they check, e.g. check_width(patterns.n, input=...,
+    memory=...); the first mismatch is reported.
+    """
+    for name, width in widths.items():
+        if width != n:
+            raise DimensionError(
+                f"{name} width is {width}, the pattern length is {n}"
+            )
+
+
 def hamming_distance(a: BitPattern, b: BitPattern) -> int:
     """Number of positions where the two patterns differ."""
     if a.n != b.n:

@@ -26,12 +26,12 @@ import numpy as np
 
 from .errors import DimensionError, InfeasibleCloningError, ZeroMassError
 from .memory import check_branch_weights, memory_overlap, solve_efficiencies
-from .patterns import BitPattern, PatternSet, hamming_distance
+from .patterns import BitPattern, PatternSet, check_width, hamming_distance
 from .statevector import (
+    MAX_AMPLITUDES,
     RegisterLayout,
     StateVector,
-    apply_hadamard,
-    apply_hamming_phase,
+    apply_control_rotations,
     collapse_qubit,
     flip_bits,
     measure_qubit,
@@ -248,15 +248,8 @@ def prepare_initial(
     Controls start all-zero. The input register is classical and carried
     alongside, not simulated.
     """
-    if input_pattern.n != patterns.n:
-        raise DimensionError(
-            f"input has {input_pattern.n} bits, patterns have {patterns.n}"
-        )
     mem, anc = layout.memory, layout.ancilla
-    if mem.width != patterns.n:
-        raise DimensionError(
-            f"memory register holds {mem.width} qubits, patterns have {patterns.n}"
-        )
+    check_width(patterns.n, input=input_pattern.n, memory=mem.width)
     check_branch_weights(gamma, gamma_bar)
     p = patterns.p
     words = np.array([q.value for q in patterns], dtype=np.int64) << mem.offset
@@ -278,10 +271,7 @@ def apply_difference_encoding(
     input, to a NOT conditioned on the input bit being 0. Involution.
     """
     mem = state.layout.memory
-    if input_pattern.n != mem.width:
-        raise DimensionError(
-            f"input has {input_pattern.n} bits, memory register {mem.width}"
-        )
+    check_width(mem.width, input=input_pattern.n)
     full = (1 << mem.width) - 1
     return flip_bits(state, (~input_pattern.value & full) << mem.offset)
 
@@ -293,20 +283,6 @@ def undo_difference_encoding(
     return apply_difference_encoding(state, input_pattern)
 
 
-def apply_control_rotations(state: StateVector) -> StateVector:
-    """Hadamard, distance phase, Hadamard on every control qubit.
-
-    On a difference-encoded memory word with z zero bits, each control
-    qubit ends in cos(pi z / 2n)|0> + i sin(pi z / 2n)|1>.
-    """
-    out = state
-    for qubit in state.layout.control.bits():
-        out = apply_hadamard(out, qubit)
-        out = apply_hamming_phase(out, qubit)
-        out = apply_hadamard(out, qubit)
-    return out
-
-
 def run_pipeline(
     input_pattern: BitPattern,
     patterns: PatternSet,
@@ -315,8 +291,21 @@ def run_pipeline(
     b: int,
     mode: str = "sparse",
 ) -> StateVector:
-    """Full pre-measurement pipeline: prepare, encode, rotate, restore."""
+    """Full pre-measurement pipeline: prepare, encode, rotate, restore.
+
+    The support never exceeds p * 2**b entries per branch of nonzero
+    weight; a run whose bound is over MAX_AMPLITUDES is refused with
+    DimensionError before any state is built.
+    """
     layout = RegisterLayout.retrieval(patterns.n, b)
+    branches = (gamma > 0) + (gamma_bar > 0)
+    support = (branches * patterns.p) << b
+    if support > MAX_AMPLITUDES:
+        raise DimensionError(
+            f"the retrieval state could reach {support} amplitudes,"
+            f" {branches} x {patterns.p} x 2^{b} (weighted branches x patterns"
+            f" x control values), over the limit of {MAX_AMPLITUDES}"
+        )
     state = prepare_initial(input_pattern, patterns, gamma, gamma_bar, layout, mode)
     state = apply_difference_encoding(state, input_pattern)
     state = apply_control_rotations(state)
@@ -330,10 +319,7 @@ def _law_weights(
 
     A pattern at maximal distance n weighs exactly zero for b >= 1.
     """
-    if input_pattern.n != patterns.n:
-        raise DimensionError(
-            f"input has {input_pattern.n} bits, patterns have {patterns.n}"
-        )
+    check_width(patterns.n, input=input_pattern.n)
     n = patterns.n
     distances = [hamming_distance(input_pattern, q) for q in patterns]
     # cos(pi / 2) is not exactly 0, hence the d = n case; for b = 0, x ** 0 is 1.0.

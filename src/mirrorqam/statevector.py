@@ -11,10 +11,16 @@ their complex128 amplitudes. Every gate is array arithmetic over the whole
 support: flip_bits (NOT on every qubit of a mask at once) and XOR rewrite
 indices and re-sort, the distance phase is a masked popcount, the Hadamard
 pairs each index with its partner, and projection and measurement select
-by index masks. Amplitudes whose magnitude is at most PRUNE_THRESHOLD are
-dropped when a state is built or converted and after the amplitude-mixing
-operations (Hadamard and reflection about a state); the other operations
-keep the support or project it. int64 indices limit layouts to 63 qubits.
+by index masks. The control rotations (Hadamard, distance phase, Hadamard
+on each control qubit) are one kernel: the support, grouped by its bits
+outside the control register, becomes one (2**b, groups) block indexed by
+control value, and every qubit's butterflies and phases run on reshaped
+views of it with the arithmetic and pruning of the separate gates, so its
+indices and amplitudes equal theirs exactly. Amplitudes whose magnitude
+is at most PRUNE_THRESHOLD are dropped when a state is built or converted
+and after the amplitude-mixing operations (Hadamard, the control
+rotations and reflection about a state); the other operations keep the
+support or project it. int64 indices limit layouts to 63 qubits.
 Dense mode keeps the full 2**total_qubits vector, at most 24 qubits, and is
 written separately, as the reference that sparse results are
 cross-validated against; both modes implement every operation and agree
@@ -22,8 +28,9 @@ amplitude-by-amplitude. Dense kernels never build a per-basis-state index
 table: each reshapes the vector so that the qubit or register it acts on
 is one axis, then reverses, swaps, combines, scales or sums along that
 axis; flip_bits reverses every axis of its mask in one copy. The distance
-phase multiplies by a table over memory words only. Dense code shares no
-kernel with the sparse code.
+phase multiplies by a table over memory words only; the control rotations
+apply those Hadamard and phase kernels qubit by qubit. Dense code shares
+no kernel with the sparse code.
 
 All operations return new StateVector values; the arrays of an existing
 value are read-only and never mutated, so sharing across threads is safe.
@@ -46,6 +53,9 @@ from .patterns import BitPattern
 PRUNE_THRESHOLD = 1e-14
 NORM_TOLERANCE = 1e-10
 _MAX_DENSE_QUBITS = 24
+# The dense cap's amplitude count; a retrieval run checks its support bound
+# against it before it builds any state.
+MAX_AMPLITUDES = 1 << _MAX_DENSE_QUBITS
 _MAX_QUBITS = 63  # basis indices are int64
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -253,7 +263,7 @@ class StateVector:
                 f"basis index out of range for a {layout.total_qubits}-qubit layout"
             )
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_TOLERANCE:
+        if not abs(norm_sq - 1.0) <= NORM_TOLERANCE:  # a NaN norm fails too
             raise ValueError(f"amplitudes are not normalized: |psi|^2 = {norm_sq!r}")
         idx = idx.astype(np.int64)
         order = np.argsort(idx, kind="stable")
@@ -487,9 +497,8 @@ def apply_hamming_phase(state: StateVector, control: int) -> StateVector:
         idx = state._idx
         zeros = n - np.bitwise_count(idx & mem.mask).astype(np.int64)
         signed = np.where((idx & cmask) != 0, -zeros, zeros)
-        # phases[n + k] = exp(i * step * k) for k = -n..n
-        phases = np.exp(1j * step * np.arange(-n, n + 1))
-        return StateVector._sparse(layout, idx, state._amps * phases[n + signed])
+        phases = _phase_table(n)[n + signed]
+        return StateVector._sparse(layout, idx, state._amps * phases)
     words = np.arange(1 << n)
     zeros = np.full(1 << n, n)
     for k in range(n):
@@ -507,6 +516,73 @@ def apply_hamming_phase(state: StateVector, control: int) -> StateVector:
         view = state._amps.reshape(-1, 1 << n, 1 << gap, 2, 1 << control)
         phases = table.T[:, None, :, None]
     return StateVector._dense(layout, (view * phases).reshape(-1))
+
+
+def _phase_table(n: int) -> np.ndarray:
+    """table[n + k] = exp(i * (pi/2n) * k) for k = -n..n, the sparse phase values."""
+    return np.exp(1j * (math.pi / (2 * n)) * np.arange(-n, n + 1))
+
+
+def _hadamard_halves(live, low, high, tmp) -> None:
+    """Hadamard in place on the paired halves low/high of live, then prune live.
+
+    The arithmetic and the pruning are those of the sparse apply_hadamard,
+    with amplitudes at most PRUNE_THRESHOLD set to 0 instead of dropped.
+    """
+    np.add(low, high, out=tmp)
+    np.subtract(low, high, out=high)
+    low[...] = tmp
+    live *= _SQRT_HALF
+    live[np.abs(live) <= PRUNE_THRESHOLD] = 0
+
+
+def apply_control_rotations(state: StateVector) -> StateVector:
+    """Hadamard, distance phase, Hadamard on every control qubit, in ascending order.
+
+    On a memory word with z zero bits, a control qubit that starts in |0>
+    ends in cos(pi z / 2n)|0> + i sin(pi z / 2n)|1>. Dense mode applies the
+    three gates qubit by qubit. Sparse mode is the block kernel described
+    in the module docstring; its indices and amplitudes equal those of the
+    gate sequence. Per qubit it works only on the leading block rows that
+    can be nonzero, so a block whose controls start at 0 fills as the
+    gate-by-gate support would.
+    """
+    layout = state.layout
+    control = layout.control
+    if state.mode == "dense":
+        for qubit in control.bits():
+            state = apply_hadamard(state, qubit)
+            state = apply_hamming_phase(state, qubit)
+            state = apply_hadamard(state, qubit)
+        return state
+    n, b = layout.n, control.width
+    idx = state._idx
+    rest, row = np.unique(idx & ~control.mask, return_inverse=True)
+    values = (idx & control.mask) >> control.offset
+    # block[c, r] is the amplitude of basis index rest[r] | (c << control.offset).
+    block = np.zeros((1 << b, rest.size), dtype=np.complex128)
+    block[values, row] = state._amps
+    zeros = n - np.bitwise_count(rest & layout.memory.mask).astype(np.int64)
+    table = _phase_table(n)
+    # phases[v, 0, r]: the phase of group r under control bit value v.
+    phases = np.stack((table[n + zeros], table[n - zeros]))[:, None, :]
+    filled = int(values.max()).bit_length()
+    scratch = np.empty(block.size // 2, dtype=np.complex128)
+    for k in range(b):
+        live = block[: 1 << max(filled, k + 1)]
+        # Axis 1 of the view is control bit k.
+        halves = live.reshape(-1, 2, 1 << k, rest.size)
+        low, high = halves[:, 0], halves[:, 1]
+        tmp = scratch[: low.size].reshape(low.shape)
+        _hadamard_halves(live, low, high, tmp)
+        # One multiply over both halves, never a one-element product: numpy
+        # can send that through a scalar loop that rounds differently from
+        # the vector loop apply_hamming_phase runs.
+        halves *= phases
+        _hadamard_halves(live, low, high, tmp)
+    out_idx = (rest | (np.arange(1 << b)[:, None] << control.offset)).ravel()
+    order = np.argsort(out_idx, kind="stable")
+    return _pruned(layout, out_idx[order], block.ravel()[order])
 
 
 def collapse_qubit(

@@ -294,6 +294,34 @@ class TestUsageErrors:
             "error: dense mode supports at most 24 qubits, layout has 25"
         ]
 
+    @pytest.mark.parametrize("command", ["distribution", "retrieve"])
+    def test_run_over_the_support_budget_exits_3(self, pattern_file, command):
+        # 2 patterns x 2^24 control values in the memory branch: refused
+        # before the pipeline allocates anything.
+        path = pattern_file("00\n01\n")
+        result = run_cli(
+            command, "--patterns", path, "--input", "00", "--b", "24", "--seed", "1",
+        )
+        assert result.returncode == 3
+        assert result.stderr.strip().splitlines() == [
+            "error: the retrieval state could reach 33554432 amplitudes,"
+            " 1 x 2 x 2^24 (weighted branches x patterns x control values),"
+            " over the limit of 16777216"
+        ]
+
+    def test_nan_branch_weight_is_a_parse_error(self, pattern_file):
+        path = pattern_file("00\n01\n")
+        result = run_cli(
+            "distribution", "--patterns", path, "--input", "00", "--b", "1",
+            "--gamma-mode", "fixed:nan",
+        )
+        assert result.returncode == 2
+        errors = [line for line in result.stderr.splitlines() if "error" in line]
+        assert errors == [
+            "mirrorqam distribution: error: argument --gamma-mode:"
+            " invalid parse value: 'fixed:nan'"
+        ]
+
 
 class TestComplexityCommand:
     def test_uniform_table(self, pattern_file):

@@ -239,6 +239,10 @@ class TestApplyClone:
                 call(0.5, 0.5 + 1e-11)
             with pytest.raises(ValueError, match="nonnegative"):
                 call(-0.25, 1.25)
+            # NaN fails every comparison, so only an explicit check sees it.
+            for bad in ((math.nan, math.nan), (0.5, math.nan), (math.inf, -math.inf)):
+                with pytest.raises(ValueError, match="finite"):
+                    call(*bad)
 
     def test_rejects_unknown_source(self):
         with pytest.raises(ValueError, match="source"):

@@ -3,15 +3,23 @@ import itertools
 import pytest
 
 from mirrorqam.errors import DimensionError, PatternParseError
+from mirrorqam.memory import apply_clone, build_memory_state
 from mirrorqam.patterns import (
     BitPattern,
     PatternSet,
+    check_width,
     hamming_distance,
     mirror,
     mirror_set,
     parse_pattern_file,
     random_pattern_set,
 )
+from mirrorqam.retrieval import (
+    analytic_distribution,
+    apply_difference_encoding,
+    prepare_initial,
+)
+from mirrorqam.statevector import RegisterLayout, StateVector
 
 from conftest import random_input
 
@@ -112,6 +120,48 @@ class TestPatternSet:
     def test_rejects_duplicates(self):
         with pytest.raises(PatternParseError):
             PatternSet.from_strings(["01", "01"])
+
+
+class TestCheckWidth:
+    def test_names_the_first_mismatch(self):
+        check_width(3, input=3, memory=3)
+        with pytest.raises(DimensionError, match="^memory width is 2, the pattern"):
+            check_width(3, input=3, memory=2, copy=4)
+
+    def test_every_width_check_refuses_a_mismatch(self):
+        # The pattern-length checks of memory and retrieval, one call each.
+        patterns = PatternSet.from_strings(["00", "01"])
+        layout = RegisterLayout.retrieval(3, 1)
+        calls = [
+            ("memory", lambda: build_memory_state(patterns, layout)),
+            (
+                "input",
+                lambda: prepare_initial(
+                    bp("000"), patterns, 1.0, 0.0, RegisterLayout.retrieval(2, 1)
+                ),
+            ),
+            ("memory", lambda: prepare_initial(bp("00"), patterns, 1.0, 0.0, layout)),
+            (
+                "input",
+                lambda: apply_difference_encoding(
+                    StateVector.basis_state(layout), bp("00")
+                ),
+            ),
+            (
+                "copy",
+                lambda: apply_clone(
+                    "memory",
+                    patterns,
+                    0.5,
+                    0.5,
+                    RegisterLayout((("memory", 2), ("copy", 3), ("ancilla", 1))),
+                ),
+            ),
+            ("input", lambda: analytic_distribution(bp("0"), patterns, 1)),
+        ]
+        for name, call in calls:
+            with pytest.raises(DimensionError, match=f"^{name} width is"):
+                call()
 
 
 class TestMirrorSet:

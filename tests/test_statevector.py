@@ -14,6 +14,7 @@ from mirrorqam.statevector import (
     PRUNE_THRESHOLD,
     RegisterLayout,
     StateVector,
+    apply_control_rotations,
     apply_hadamard,
     apply_hamming_phase,
     apply_not,
@@ -88,6 +89,8 @@ class TestConstruction:
         lay = RegisterLayout.memory_only(1)
         with pytest.raises(ValueError, match="not normalized"):
             StateVector.from_amplitudes(lay, {0: 0.5})
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector.from_arrays(lay, [0, 1], [math.nan, 0.0])
 
     def test_rejects_out_of_range_index(self):
         lay = RegisterLayout.memory_only(1)
@@ -412,7 +415,9 @@ layouts = st.builds(
 seeds = st.integers(0, 2**32 - 1)
 gates = st.lists(
     st.tuples(
-        st.sampled_from(["not", "xor", "hadamard", "phase", "good", "reflect"]),
+        st.sampled_from(
+            ["not", "xor", "hadamard", "phase", "rotate", "good", "reflect"]
+        ),
         seeds,
     ),
     max_size=25,
@@ -443,6 +448,8 @@ def apply_gate(state, gate):
         return apply_hadamard(state, int(rng.integers(lay.total_qubits)))
     if name == "phase":
         return apply_hamming_phase(state, int(rng.choice(list(lay.control.bits()))))
+    if name == "rotate":
+        return apply_control_rotations(state)
     if name == "good":
         return reflect_good_subspace(state, seed % 2)
     return reflect_about_state(state, random_state(lay, seed, state.mode))
@@ -538,14 +545,17 @@ PAULI_X = np.array([[0, 1], [1, 0]])
 HADAMARD = np.array([[1, 1], [1, -1]]) * SQ2
 PROJECTORS = (np.diag([1, 0]), np.diag([0, 1]))
 
-any_order_layouts = st.builds(
-    lambda n, b, order: RegisterLayout(
-        [(("memory", n), ("control", b), ("ancilla", 1))[k] for k in order]
-    ),
-    st.integers(1, 4),
-    st.integers(1, 2),
-    st.permutations(range(3)),
-)
+def any_order_layouts(max_b):
+    return st.builds(
+        lambda n, b, order: RegisterLayout(
+            [(("memory", n), ("control", b), ("ancilla", 1))[k] for k in order]
+        ),
+        st.integers(1, 4),
+        st.integers(1, max_b),
+        st.permutations(range(3)),
+    )
+
+
 CONTROL_BELOW_MEMORY = RegisterLayout((("control", 2), ("memory", 3), ("ancilla", 1)))
 
 
@@ -576,11 +586,14 @@ def phase_diagonal(layout, control):
 class TestDenseAgainstOperators:
     @PROPERTY
     @given(
-        any_order_layouts,
+        any_order_layouts(2),
         seeds,
-        st.sampled_from(["not", "xor", "hadamard", "phase", "good", "collapse"]),
+        st.sampled_from(
+            ["not", "xor", "hadamard", "phase", "rotate", "good", "collapse"]
+        ),
     )
     @example(CONTROL_BELOW_MEMORY, 1, "phase")
+    @example(CONTROL_BELOW_MEMORY, 1, "rotate")
     @example(CONTROL_BELOW_MEMORY, 2, "good")
     def test_gate_matches_explicit_operator(self, layout, seed, name):
         state = random_state(layout, seed, "dense")
@@ -604,6 +617,12 @@ class TestDenseAgainstOperators:
             control = int(rng.choice(list(layout.control.bits())))
             got = apply_hamming_phase(state, control)
             expect = phase_diagonal(layout, control) @ psi
+        elif name == "rotate":
+            got = apply_control_rotations(state)
+            expect = psi
+            for control in layout.control.bits():
+                hadamard = operator(layout, {control: HADAMARD})
+                expect = hadamard @ phase_diagonal(layout, control) @ hadamard @ expect
         elif name == "good":
             branch = seed % 2
             got = reflect_good_subspace(state, branch)
@@ -625,7 +644,7 @@ class TestDenseAgainstOperators:
         assert np.max(np.abs(dense_vector(got) - expect)) <= 1e-12
 
     @PROPERTY
-    @given(any_order_layouts, seeds, seeds, st.sampled_from(["sparse", "dense"]))
+    @given(any_order_layouts(2), seeds, seeds, st.sampled_from(["sparse", "dense"]))
     def test_flip_bits_is_a_product_of_nots(self, layout, seed, mask_seed, mode):
         # Both modes, against the Kronecker product of Pauli X factors and
         # against one apply_not per masked qubit.
@@ -641,7 +660,9 @@ class TestDenseAgainstOperators:
         assert got.as_dict() == state.as_dict()
 
     @PROPERTY
-    @given(any_order_layouts, seeds, st.sampled_from(["memory", "control", "ancilla"]))
+    @given(
+        any_order_layouts(2), seeds, st.sampled_from(["memory", "control", "ancilla"])
+    )
     @example(CONTROL_BELOW_MEMORY, 3, "memory")
     def test_register_measurement_projects_onto_the_outcome(self, layout, seed, name):
         state = random_state(layout, seed, "dense")
@@ -657,3 +678,46 @@ class TestDenseAgainstOperators:
         state = StateVector.basis_state(RegisterLayout.memory_only(3), 0, "dense")
         with pytest.raises(ValueError, match="contiguous mask"):
             subspace_mass(state, mask, value)
+
+
+def assert_rotations_match_the_gate_sequence(state):
+    expect = state
+    for qubit in state.layout.control.bits():
+        expect = apply_hadamard(expect, qubit)
+        expect = apply_hamming_phase(expect, qubit)
+        expect = apply_hadamard(expect, qubit)
+    got = apply_control_rotations(state)
+    assert np.array_equal(got.arrays()[0], expect.arrays()[0])
+    assert np.array_equal(got.arrays()[1], expect.arrays()[1])
+    assert got.allclose(apply_control_rotations(state.to_mode("dense")), 1e-12)
+
+
+class TestControlRotationKernel:
+    # The sparse kernel against the gate sequence it replaces, exactly, and
+    # against the dense gate loop. Controls start below 2**filled; 0 is the
+    # retrieval pipeline's case, larger values a general input.
+    @PROPERTY
+    @given(any_order_layouts(4), seeds, st.integers(0, 4), st.integers(1, 64))
+    @example(CONTROL_BELOW_MEMORY, 1, 0, 64)
+    # One basis state and one control qubit: the phase step is a product of
+    # two amplitudes, where numpy's loops can round differently.
+    @example(RegisterLayout((("memory", 4), ("ancilla", 1), ("control", 1))), 2, 0, 1)
+    def test_sparse_kernel_equals_the_gate_sequence(self, layout, seed, filled, size):
+        control = layout.control
+        rng = np.random.default_rng(seed)
+        drawn = rng.choice(layout.dim, size=min(size, layout.dim), replace=False)
+        below = ((1 << min(filled, control.width)) - 1) << control.offset
+        idx = np.unique(drawn & (~control.mask | below))
+        amps = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
+        state = StateVector.from_arrays(layout, idx, amps / np.linalg.norm(amps))
+        assert_rotations_match_the_gate_sequence(state)
+
+    def test_prunes_where_the_gate_sequence_prunes(self):
+        # The first Hadamard leaves about 7e-16 in control value 0 of memory
+        # word 0; the gate sequence drops it, so the kernel must zero it
+        # before it is mixed into the 0.7 beside it.
+        layout = RegisterLayout.retrieval(2, 2)
+        near = -0.5 + 1e-15
+        amps = [0.5, near, math.sqrt(1 - 0.25 - near**2)]
+        state = StateVector.from_arrays(layout, [0b0000, 0b0100, 0b0011], amps)
+        assert_rotations_match_the_gate_sequence(state)
