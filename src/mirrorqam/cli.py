@@ -135,6 +135,22 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a positive int, got {text!r}")
 
 
+def _refusing_type(parse):
+    """argparse type around parse that reports why a value was refused.
+
+    argparse prints only "invalid <name> value" for a plain ValueError, so
+    the error's own message is passed on as an ArgumentTypeError.
+    """
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
 def _resolve_seed(seed: int | None) -> int:
     """Every randomized command reports its seed, auto-generated or not."""
     return secrets.randbits(32) if seed is None else seed
@@ -408,13 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument(
             "--gamma-mode",
-            type=GammaMode.parse,
+            type=_refusing_type(GammaMode.parse),
             default=GammaMode.memory_only(),
             help="memory-only | cloning | fixed:G",
         )
         p.add_argument(
             "--amp-mode",
-            type=AmplificationMode.parse,
+            type=_refusing_type(AmplificationMode.parse),
             default=AmplificationMode.exact(),
             help="exact | estimate | fixed:K",
         )

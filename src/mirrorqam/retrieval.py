@@ -522,15 +522,21 @@ def simulate_distribution(
     layout = state.layout
     mem, control, anc = layout.memory, layout.control, layout.ancilla
 
+    # Collapse both branches first, so the two-branch state is released
+    # before amplification builds its states.
+    collapsed = {
+        branch: collapse_qubit(state, anc.offset, branch)[1]
+        for branch, mass in ((0, gamma), (1, gamma_bar))
+        if mass > 0.0
+    }
+    del state
     branch_states: dict[int, StateVector] = {}
     iterations: dict[int, int] = {}
-    for branch, mass in ((0, gamma), (1, gamma_bar)):
-        if mass <= 0.0:
-            continue
-        _, collapsed = collapse_qubit(state, anc.offset, branch)
-        p_good = good_subspace_probability(collapsed, branch)
+    for branch in list(collapsed):
+        start = collapsed.pop(branch)
+        p_good = good_subspace_probability(start, branch)
         k = _resolve_iterations(config.amplification_mode, p_good, config.b, 0)
-        branch_states[branch] = amplitude_amplify(collapsed, branch, k)
+        branch_states[branch] = amplitude_amplify(start, branch, k)
         iterations[branch] = k
 
     branch_counts: dict[int, Counter[BitPattern]] = {0: Counter(), 1: Counter()}

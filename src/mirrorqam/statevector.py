@@ -12,15 +12,27 @@ support: flip_bits (NOT on every qubit of a mask at once) and XOR rewrite
 indices and re-sort, the distance phase is a masked popcount, the Hadamard
 pairs each index with its partner, and projection and measurement select
 by index masks. The control rotations (Hadamard, distance phase, Hadamard
-on each control qubit) are one kernel: the support, grouped by its bits
-outside the control register, becomes one (2**b, groups) block indexed by
-control value, and every qubit's butterflies and phases run on reshaped
-views of it with the arithmetic and pruning of the separate gates, so its
-indices and amplitudes equal theirs exactly. Amplitudes whose magnitude
-is at most PRUNE_THRESHOLD are dropped when a state is built or converted
-and after the amplitude-mixing operations (Hadamard, the control
-rotations and reflection about a state); the other operations keep the
-support or project it. int64 indices limit layouts to 63 qubits.
+on each control qubit) are one kernel. It splits the support into groups
+of equal bits above the control register and gives each group a
+(2**b, group size) block, indexed by control value and then by the bits
+below; the blocks lie back to back in one flat buffer, which is therefore
+already in basis-index order and becomes the output without a sort. Every
+qubit's butterflies and phases run in place on reshaped views of each
+block with the arithmetic and pruning of the separate gates (pruning sets
+an amplitude to 0, and the output keeps the nonzero ones), so its indices
+and amplitudes equal theirs exactly. Amplitudes whose magnitude is at most
+PRUNE_THRESHOLD are dropped when a state is built or converted and after
+the amplitude-mixing operations (Hadamard, the control rotations and
+reflection about a state); the other operations keep the support or
+project it. A gate that keeps the support passes its input's index array
+on unchanged, so the states of one amplification run share their axis's
+index array, and the reflections and the inner product recognise that by
+identity before they compare or look up indices. Each gate computes its
+output amplitudes in one array and updates it in place (the good-subspace
+reflection negates inside one copy, the reflection about a state
+subtracts the state from the scaled axis, a projection renormalizes the
+amplitudes it selected) rather than combining full-size intermediate
+arrays. int64 indices limit layouts to 63 qubits.
 Dense mode keeps the full 2**total_qubits vector, at most 24 qubits, and is
 written separately, as the reference that sparse results are
 cross-validated against; both modes implement every operation and agree
@@ -41,9 +53,10 @@ configuration.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -387,9 +400,9 @@ def _gather(idx: np.ndarray, amps: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Amplitudes at the query indices, 0 where the support idx lacks them.
 
     Returns amps itself when query is the support, the common case in
-    amplification, where every state shares its axis's support.
+    amplification, where every state shares its axis's index array.
     """
-    if np.array_equal(idx, query):
+    if idx is query or np.array_equal(idx, query):
         return amps
     pos, hit = _lookup(idx, query)
     return np.where(hit, amps[pos], 0j)
@@ -404,12 +417,16 @@ def _pruned(layout: RegisterLayout, idx: np.ndarray, amps: np.ndarray) -> StateV
 
 
 def _permuted(state: StateVector, idx: np.ndarray) -> StateVector:
-    """Sparse state with state's amplitudes moved to the rewritten indices idx."""
+    """Sparse state with state's amplitudes moved to the rewritten indices idx.
+
+    The caller passes idx as a temporary, which is released once sorted.
+    """
     # Flipping a bit swaps the two halves of aligned index blocks, so idx is
     # left in ascending or descending runs; the stable kind (timsort for
     # int64) merges such runs in near-linear time.
     order = np.argsort(idx, kind="stable")
-    return StateVector._sparse(state.layout, idx[order], state._amps[order])
+    idx = idx[order]
+    return StateVector._sparse(state.layout, idx, state._amps[order])
 
 
 def flip_bits(state: StateVector, mask: int) -> StateVector:
@@ -523,6 +540,11 @@ def _phase_table(n: int) -> np.ndarray:
     return np.exp(1j * (math.pi / (2 * n)) * np.arange(-n, n + 1))
 
 
+def _prune(amps) -> None:
+    """Set the amplitudes of magnitude at most PRUNE_THRESHOLD to 0, in place."""
+    amps[np.abs(amps) <= PRUNE_THRESHOLD] = 0
+
+
 def _hadamard_halves(live, low, high, tmp) -> None:
     """Hadamard in place on the paired halves low/high of live, then prune live.
 
@@ -533,7 +555,34 @@ def _hadamard_halves(live, low, high, tmp) -> None:
     np.subtract(low, high, out=high)
     low[...] = tmp
     live *= _SQRT_HALF
-    live[np.abs(live) <= PRUNE_THRESHOLD] = 0
+    _prune(live)
+
+
+def _rotate_block(block, k, filled, phases, scratch) -> None:
+    """Hadamard, phase, Hadamard on control bit k of a stack of group blocks, in place.
+
+    block[g, c] holds control value c of group g. Only the first
+    2**max(filled, k + 1) rows of a block can be nonzero; while k >= filled,
+    the rows with bit k set are still 0, so the first Hadamard's sum and
+    difference both equal the lower half, scaled.
+    """
+    groups, _, size = block.shape
+    live = block[:, : 1 << max(filled, k + 1)]
+    # Axis 2 of the view is control bit k.
+    halves = live.reshape(groups, -1, 2, 1 << k, size)
+    low, high = halves[:, :, 0], halves[:, :, 1]
+    tmp = scratch[: low.size].reshape(low.shape)
+    if k >= filled:
+        low *= _SQRT_HALF
+        _prune(low)
+        high[...] = low
+    else:
+        _hadamard_halves(live, low, high, tmp)
+    # One multiply over both halves, never a one-element product: numpy
+    # can send that through a scalar loop that rounds differently from
+    # the vector loop apply_hamming_phase runs.
+    halves *= phases
+    _hadamard_halves(live, low, high, tmp)
 
 
 def apply_control_rotations(state: StateVector) -> StateVector:
@@ -556,33 +605,53 @@ def apply_control_rotations(state: StateVector) -> StateVector:
             state = apply_hadamard(state, qubit)
         return state
     n, b = layout.n, control.width
+    rows = 1 << b
     idx = state._idx
-    rest, row = np.unique(idx & ~control.mask, return_inverse=True)
-    values = (idx & control.mask) >> control.offset
-    # block[c, r] is the amplitude of basis index rest[r] | (c << control.offset).
-    block = np.zeros((1 << b, rest.size), dtype=np.complex128)
-    block[values, row] = state._amps
+    rest, r = np.unique(idx & ~control.mask, return_inverse=True)
+    c = (idx & control.mask) >> control.offset
+    # rest is sorted, so the entries with equal bits above the control
+    # register form runs rest[s:e], the groups.
+    high = rest >> (control.offset + b)
+    edges = [0, *(np.flatnonzero(high[1:] != high[:-1]) + 1).tolist(), rest.size]
+    sizes = np.diff(edges)
+    first, width = np.repeat(edges[:-1], sizes)[r], np.repeat(sizes, sizes)[r]
+    # Group rest[s:e] owns buf[rows*s : rows*e] as a (rows, e - s) block
+    # whose entry [c, r - s] is the amplitude of rest[r] | (c <<
+    # control.offset), so buf is in basis-index order.
+    buf = np.zeros(rows * rest.size, dtype=np.complex128)
+    buf[rows * first + c * width + (r - first)] = state._amps
+    # Groups of one size, such as the two branches of a retrieval state,
+    # run as one stack: a (groups, rows, size) view. Otherwise each group
+    # is a stack of its own.
+    if (sizes == sizes[0]).all():
+        stacks = [(0, rest.size, sizes.size)]
+    else:
+        stacks = [(s, e, 1) for s, e in itertools.pairwise(edges)]
     zeros = n - np.bitwise_count(rest & layout.memory.mask).astype(np.int64)
     table = _phase_table(n)
-    # phases[v, 0, r]: the phase of group r under control bit value v.
-    phases = np.stack((table[n + zeros], table[n - zeros]))[:, None, :]
-    filled = int(values.max()).bit_length()
-    scratch = np.empty(block.size // 2, dtype=np.complex128)
-    for k in range(b):
-        live = block[: 1 << max(filled, k + 1)]
-        # Axis 1 of the view is control bit k.
-        halves = live.reshape(-1, 2, 1 << k, rest.size)
-        low, high = halves[:, 0], halves[:, 1]
-        tmp = scratch[: low.size].reshape(low.shape)
-        _hadamard_halves(live, low, high, tmp)
-        # One multiply over both halves, never a one-element product: numpy
-        # can send that through a scalar loop that rounds differently from
-        # the vector loop apply_hamming_phase runs.
-        halves *= phases
-        _hadamard_halves(live, low, high, tmp)
-    out_idx = (rest | (np.arange(1 << b)[:, None] << control.offset)).ravel()
-    order = np.argsort(out_idx, kind="stable")
-    return _pruned(layout, out_idx[order], block.ravel()[order])
+    # phases[v, r]: the phase of rest[r] under control bit value v.
+    phases = np.stack((table[n + zeros], table[n - zeros]))
+    filled = int(c.max()).bit_length()
+    largest = max(e - s for s, e, _ in stacks)
+    scratch = np.empty((rows // 2) * largest, dtype=np.complex128)
+    for s, e, count in stacks:
+        block = buf[rows * s : rows * e].reshape(count, rows, -1)
+        # view[g, 0, v, 0, j]: the phase of rest[s + g * size + j].
+        view = phases[:, s:e].reshape(2, count, 1, 1, -1).transpose(1, 2, 0, 3, 4)
+        for k in range(b):
+            _rotate_block(block, k, filled, view, scratch)
+    del scratch
+    out_idx = np.empty(buf.size, dtype=np.int64)
+    shifts = (np.arange(rows, dtype=np.int64) << control.offset)[:, None]
+    for s, e, count in stacks:
+        block = out_idx[rows * s : rows * e].reshape(count, rows, -1)
+        np.bitwise_or(rest[s:e].reshape(count, 1, -1), shifts, out=block)
+    # The rotations zeroed every amplitude of magnitude at most
+    # PRUNE_THRESHOLD, so the nonzero ones are the ones to keep.
+    keep = buf != 0
+    if keep.all():
+        return StateVector._sparse(layout, out_idx, buf)
+    return StateVector._sparse(layout, out_idx[keep], buf[keep])
 
 
 def collapse_qubit(
@@ -606,13 +675,12 @@ def _project(
 ) -> tuple[float, StateVector]:
     if state.mode == "sparse":
         keep = (state._idx & select_mask) == select_value
-        kept = state._amps[keep]
+        kept = state._amps[keep]  # a copy, renormalized in place
         probability = float(np.vdot(kept, kept).real)
         if probability <= 0.0:
             raise ValueError("projection onto a zero-probability subspace")
-        return probability, StateVector._sparse(
-            state.layout, state._idx[keep], kept / math.sqrt(probability)
-        )
+        kept /= math.sqrt(probability)
+        return probability, StateVector._sparse(state.layout, state._idx[keep], kept)
     kept = _dense_subspace(state._amps, select_mask, select_value)
     probability = float(np.vdot(kept, kept).real)
     if probability <= 0.0:
@@ -672,13 +740,6 @@ def measure_register(
     return str(BitPattern(chosen, reg.width)), collapsed
 
 
-def probability_of_subspace(
-    state: StateVector, predicate: Callable[[int], bool]
-) -> float:
-    """Total Born probability of basis states satisfying the predicate."""
-    return sum(abs(a) ** 2 for i, a in state.items() if predicate(i))
-
-
 def reflect_about_state(state: StateVector, axis: StateVector) -> StateVector:
     """Reflection 2 <axis|state> axis - state; unitary when axis is normalized."""
     if state.layout != axis.layout:
@@ -686,18 +747,20 @@ def reflect_about_state(state: StateVector, axis: StateVector) -> StateVector:
     axis = axis.to_mode(state.mode)
     coeff = 2.0 * inner_product(axis, state)
     if state.mode == "dense":
-        return StateVector._dense(state.layout, coeff * axis._amps - state._amps)
+        amps = np.multiply(coeff, axis._amps)
+        amps -= state._amps
+        return StateVector._dense(state.layout, amps)
     support = axis._idx
     if not (
-        np.array_equal(support, state._idx)
+        state._idx is support
+        or np.array_equal(support, state._idx)
         or _lookup(support, state._idx)[1].all()
     ):
         # The state reaches outside the axis support (amplification never
         # does: pruning only shrinks the support), so merge the two.
         support = np.union1d(support, state._idx)
-    amps = coeff * _gather(axis._idx, axis._amps, support) - _gather(
-        state._idx, state._amps, support
-    )
+    amps = np.multiply(coeff, _gather(axis._idx, axis._amps, support))
+    amps -= _gather(state._idx, state._amps, support)
     return _pruned(state.layout, support, amps)
 
 
@@ -707,12 +770,11 @@ def reflect_good_subspace(state: StateVector, branch: int) -> StateVector:
         raise ValueError("branch must be 0 or 1")
     reg = state.layout.control
     target = reg.mask if branch else 0
+    out = state._amps.copy()
     if state.mode == "sparse":
         flip = (state._idx & reg.mask) == target
-        return StateVector._sparse(
-            state.layout, state._idx, np.where(flip, -state._amps, state._amps)
-        )
-    out = state._amps.copy()
+        np.negative(out, out=out, where=flip)
+        return StateVector._sparse(state.layout, state._idx, out)
     _dense_subspace(out, reg.mask, target)[...] *= -1
     return StateVector._dense(state.layout, out)
 

@@ -54,3 +54,12 @@ def quadrature_cos_power_average(b: int) -> float:
 
     value, _ = quad(lambda x: math.cos(x) ** (2 * b), 0.0, math.pi / 2)
     return 2.0 / math.pi * value
+
+
+def probability_of_subspace(state, predicate) -> float:
+    """Born probability of the basis states whose index satisfies predicate.
+
+    A per-element Python sum over the state's (index, amplitude) pairs,
+    independent of the engine's mask kernels.
+    """
+    return sum(abs(a) ** 2 for i, a in state.items() if predicate(i))

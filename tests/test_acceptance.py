@@ -45,12 +45,16 @@ from mirrorqam.statevector import (
     apply_not,
     apply_xor,
     collapse_qubit,
-    probability_of_subspace,
     reflect_good_subspace,
 )
 
 from conftest import random_input
-from oracles import mirror_branch_conditional, quadrature_cos_power_average, tv_distance
+from oracles import (
+    mirror_branch_conditional,
+    probability_of_subspace,
+    quadrature_cos_power_average,
+    tv_distance,
+)
 
 
 @contextmanager

@@ -319,8 +319,26 @@ class TestUsageErrors:
         errors = [line for line in result.stderr.splitlines() if "error" in line]
         assert errors == [
             "mirrorqam distribution: error: argument --gamma-mode:"
-            " invalid parse value: 'fixed:nan'"
+            " branch weights must be finite, got nan, nan"
         ]
+
+    @pytest.mark.parametrize(
+        "option, value, reason",
+        [
+            ("--gamma-mode", "fixed:-1", "branch weights must be nonnegative"),
+            ("--gamma-mode", "fixed:1.5", "branch weights must be nonnegative"),
+            ("--amp-mode", "fixed:-1", "fixed iteration count must be nonnegative"),
+        ],
+    )
+    def test_refused_mode_value_says_why(self, pattern_file, option, value, reason):
+        path = pattern_file("00\n01\n")
+        result = run_cli(
+            "distribution", "--patterns", path, "--input", "00", "--b", "1",
+            option, value,
+        )
+        assert result.returncode == 2
+        errors = [line for line in result.stderr.splitlines() if "error" in line]
+        assert errors == [f"mirrorqam distribution: error: argument {option}: {reason}"]
 
 
 class TestComplexityCommand:

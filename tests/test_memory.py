@@ -16,13 +16,10 @@ from mirrorqam.memory import (
 )
 from mirrorqam.patterns import BitPattern, PatternSet, mirror_set, random_pattern_set
 from mirrorqam.retrieval import GammaMode, prepare_initial
-from mirrorqam.statevector import (
-    RegisterLayout,
-    inner_product,
-    probability_of_subspace,
-)
+from mirrorqam.statevector import RegisterLayout, inner_product
 
 from conftest import random_instance
+from oracles import probability_of_subspace
 
 
 def ps(*words):

@@ -39,11 +39,15 @@ from mirrorqam.statevector import (
     RegisterLayout,
     StateVector,
     collapse_qubit,
-    probability_of_subspace,
 )
 
 from conftest import random_instance
-from oracles import mirror_branch_conditional, quadrature_cos_power_average, tv_distance
+from oracles import (
+    mirror_branch_conditional,
+    probability_of_subspace,
+    quadrature_cos_power_average,
+    tv_distance,
+)
 
 
 def ps(*words):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mirrorqam.errors import DimensionError
 from mirrorqam.patterns import BitPattern
-from mirrorqam.retrieval import apply_difference_encoding
+from mirrorqam.retrieval import amplitude_amplify, apply_difference_encoding
 from mirrorqam.statevector import (
     NORM_TOLERANCE,
     PRUNE_THRESHOLD,
@@ -24,11 +24,12 @@ from mirrorqam.statevector import (
     inner_product,
     measure_qubit,
     measure_register,
-    probability_of_subspace,
     reflect_about_state,
     reflect_good_subspace,
     subspace_mass,
 )
+
+from oracles import probability_of_subspace
 
 SQ2 = math.sqrt(0.5)
 
@@ -557,6 +558,12 @@ def any_order_layouts(max_b):
 
 
 CONTROL_BELOW_MEMORY = RegisterLayout((("control", 2), ("memory", 3), ("ancilla", 1)))
+# Two registers above the control register, so the support splits into
+# several groups of high bits, and memory below it, so groups hold more than
+# one entry.
+TWO_ABOVE_CONTROL = RegisterLayout(
+    (("memory", 2), ("control", 3), ("ancilla", 1), ("copy", 2))
+)
 
 
 def operator(layout, factors):
@@ -699,6 +706,7 @@ class TestControlRotationKernel:
     @PROPERTY
     @given(any_order_layouts(4), seeds, st.integers(0, 4), st.integers(1, 64))
     @example(CONTROL_BELOW_MEMORY, 1, 0, 64)
+    @example(TWO_ABOVE_CONTROL, 5, 0, 64)
     # One basis state and one control qubit: the phase step is a product of
     # two amplitudes, where numpy's loops can round differently.
     @example(RegisterLayout((("memory", 4), ("ancilla", 1), ("control", 1))), 2, 0, 1)
@@ -721,3 +729,83 @@ class TestControlRotationKernel:
         amps = [0.5, near, math.sqrt(1 - 0.25 - near**2)]
         state = StateVector.from_arrays(layout, [0b0000, 0b0100, 0b0011], amps)
         assert_rotations_match_the_gate_sequence(state)
+
+    def test_prunes_where_the_gate_sequence_prunes_on_an_empty_upper_half(self):
+        # Control 0 of memory word 11 (no zero bits, so every phase is 1)
+        # holds 1.2e-14. The first Hadamard scales it to 8.5e-15 and the
+        # gate sequence drops it; the kernel, which only scales the lower
+        # half while the upper one is empty, must drop it too, or the second
+        # Hadamard restores it to 1.2e-14.
+        layout = RegisterLayout.retrieval(2, 2)
+        tiny = 1.2e-14
+        state = StateVector.from_arrays(
+            layout, [0b0011, 0b0010], [tiny, math.sqrt(1 - tiny**2)]
+        )
+        assert_rotations_match_the_gate_sequence(state)
+
+
+def reference_amplify(state, branch, k):
+    """amplitude_amplify on the arrays of a sparse state, by the plain formulas.
+
+    Each round negates the good amplitudes with np.where, then forms
+    2 <axis|s> axis - s on the axis support, taking the inner product over
+    the smaller support as inner_product does, and drops every amplitude of
+    magnitude at most PRUNE_THRESHOLD.
+    """
+    axis_idx, axis_amps = state.arrays()
+    control = state.layout.control
+    target = control.mask if branch else 0
+    idx, amps = axis_idx, axis_amps
+    for _ in range(k):
+        amps = np.where((idx & control.mask) == target, -amps, amps)
+        on_axis = np.zeros_like(axis_amps)
+        on_axis[np.searchsorted(axis_idx, idx)] = amps
+        if axis_idx.size <= idx.size:
+            coeff = 2.0 * complex(np.vdot(axis_amps, on_axis))
+        else:
+            axis_on_state = axis_amps[np.searchsorted(axis_idx, idx)]
+            coeff = 2.0 * complex(np.vdot(axis_on_state, amps))
+        amps = coeff * axis_amps - on_axis
+        keep = np.abs(amps) > PRUNE_THRESHOLD
+        idx, amps = axis_idx[keep], amps[keep]
+    return idx, amps
+
+
+class TestAmplificationKernels:
+    # The sparse reflections, round after round, against reference_amplify,
+    # exactly. With quarter set, the good subspace holds mass 1/4, so the
+    # first round leaves the other amplitudes at rounding level and prunes
+    # them: later rounds see a support that is no longer the axis's own
+    # index array.
+    @PROPERTY
+    @given(layouts, seeds, st.integers(0, 1), st.integers(0, 4), st.booleans())
+    @example(RegisterLayout.retrieval(3, 2), 3, 0, 3, True)
+    @example(RegisterLayout.retrieval(2, 3), 4, 1, 2, True)
+    def test_sparse_amplification_equals_the_reference(
+        self, layout, seed, branch, k, quarter
+    ):
+        control = layout.control
+        target = control.mask if branch else 0
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(2, layout.dim + 1))
+        idx = rng.choice(layout.dim, size=size, replace=False)
+        # one good entry and one outside the good subspace
+        idx[0] = (idx[0] & ~control.mask) | target
+        idx[1] = (idx[1] & ~control.mask) | (target ^ control.mask)
+        idx = np.unique(idx)
+        amps = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
+        good = (idx & control.mask) == target
+        if quarter:
+            amps[good] *= 0.5 / np.linalg.norm(amps[good])
+            amps[~good] *= math.sqrt(0.75) / np.linalg.norm(amps[~good])
+        else:
+            amps /= np.linalg.norm(amps)
+        state = StateVector.from_arrays(layout, idx, amps)
+        got = amplitude_amplify(state, branch, k)
+        want_idx, want_amps = reference_amplify(state, branch, k)
+        assert np.array_equal(got.arrays()[0], want_idx)
+        assert np.array_equal(got.arrays()[1], want_amps)
+        if quarter:
+            # the first round keeps only the good entries
+            first = amplitude_amplify(state, branch, 1)
+            assert first.support_size == np.count_nonzero(good)
