@@ -14,13 +14,14 @@ pairs each index with its partner, and projection and measurement select
 by index masks. The control rotations (Hadamard, distance phase, Hadamard
 on each control qubit) are one kernel. It splits the support into groups
 of equal bits above the control register and gives each group a
-(2**b, group size) block, indexed by control value and then by the bits
-below; the blocks lie back to back in one flat buffer, which is therefore
-already in basis-index order and becomes the output without a sort. Every
-qubit's butterflies and phases run in place on reshaped views of each
-block with the arithmetic and pruning of the separate gates (pruning sets
-an amplitude to 0, and the output keeps the nonzero ones), so its indices
-and amplitudes equal theirs exactly. Amplitudes whose magnitude is at most
+(2**b, largest group size) block, indexed by control value and then by
+the bits below, with zero columns padding the smaller groups; the blocks
+lie back to back in one buffer, which is therefore already in basis-index
+order and becomes the output without a sort. Every qubit's butterflies
+and phases run in place on reshaped views of the buffer with the
+arithmetic and pruning of the separate gates (pruning sets an amplitude
+to 0, and the output keeps the nonzero ones), so its indices and
+amplitudes equal theirs bit for bit. Amplitudes whose magnitude is at most
 PRUNE_THRESHOLD are dropped when a state is built or converted and after
 the amplitude-mixing operations (Hadamard, the control rotations and
 reflection about a state); the other operations keep the support or
@@ -53,7 +54,6 @@ configuration.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -416,16 +416,17 @@ def _pruned(layout: RegisterLayout, idx: np.ndarray, amps: np.ndarray) -> StateV
     return StateVector._sparse(layout, idx[keep], amps[keep])
 
 
-def _permuted(state: StateVector, idx: np.ndarray) -> StateVector:
-    """Sparse state with state's amplitudes moved to the rewritten indices idx.
+def _permuted(state: StateVector, flips) -> StateVector:
+    """Sparse state with the amplitude of each index i moved to i ^ flips.
 
-    The caller passes idx as a temporary, which is released once sorted.
+    flips is one mask or an array of masks aligned with the support.
     """
+    idx = state._idx ^ flips
     # Flipping a bit swaps the two halves of aligned index blocks, so idx is
     # left in ascending or descending runs; the stable kind (timsort for
     # int64) merges such runs in near-linear time.
     order = np.argsort(idx, kind="stable")
-    idx = idx[order]
+    idx = idx[order]  # frees the unsorted indices before the amplitudes are gathered
     return StateVector._sparse(state.layout, idx, state._amps[order])
 
 
@@ -435,7 +436,7 @@ def flip_bits(state: StateVector, mask: int) -> StateVector:
     if not 0 <= mask < state.layout.dim:
         raise IndexError(f"mask {mask:#x} reaches outside the {total}-qubit layout")
     if state.mode == "sparse":
-        return _permuted(state, state._idx ^ mask)
+        return _permuted(state, mask)
     # Axis k of the (2,) * total view is qubit total - 1 - k.
     axes = tuple(total - 1 - q for q in range(total) if (mask >> q) & 1)
     flipped = np.flip(state._amps.reshape((2,) * total), axis=axes)
@@ -456,7 +457,7 @@ def apply_xor(state: StateVector, control: int, target: int) -> StateVector:
         raise ValueError("control and target must be different qubits")
     if state.mode == "sparse":
         idx = state._idx
-        return _permuted(state, idx ^ (((idx >> control) & 1) << target))
+        return _permuted(state, ((idx >> control) & 1) << target)
     # Axis 1 holds the higher of the two qubits, axis 3 the lower one.
     lo, hi = sorted((control, target))
     shape = (-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
@@ -540,11 +541,6 @@ def _phase_table(n: int) -> np.ndarray:
     return np.exp(1j * (math.pi / (2 * n)) * np.arange(-n, n + 1))
 
 
-def _prune(amps) -> None:
-    """Set the amplitudes of magnitude at most PRUNE_THRESHOLD to 0, in place."""
-    amps[np.abs(amps) <= PRUNE_THRESHOLD] = 0
-
-
 def _hadamard_halves(live, low, high, tmp) -> None:
     """Hadamard in place on the paired halves low/high of live, then prune live.
 
@@ -555,34 +551,7 @@ def _hadamard_halves(live, low, high, tmp) -> None:
     np.subtract(low, high, out=high)
     low[...] = tmp
     live *= _SQRT_HALF
-    _prune(live)
-
-
-def _rotate_block(block, k, filled, phases, scratch) -> None:
-    """Hadamard, phase, Hadamard on control bit k of a stack of group blocks, in place.
-
-    block[g, c] holds control value c of group g. Only the first
-    2**max(filled, k + 1) rows of a block can be nonzero; while k >= filled,
-    the rows with bit k set are still 0, so the first Hadamard's sum and
-    difference both equal the lower half, scaled.
-    """
-    groups, _, size = block.shape
-    live = block[:, : 1 << max(filled, k + 1)]
-    # Axis 2 of the view is control bit k.
-    halves = live.reshape(groups, -1, 2, 1 << k, size)
-    low, high = halves[:, :, 0], halves[:, :, 1]
-    tmp = scratch[: low.size].reshape(low.shape)
-    if k >= filled:
-        low *= _SQRT_HALF
-        _prune(low)
-        high[...] = low
-    else:
-        _hadamard_halves(live, low, high, tmp)
-    # One multiply over both halves, never a one-element product: numpy
-    # can send that through a scalar loop that rounds differently from
-    # the vector loop apply_hamming_phase runs.
-    halves *= phases
-    _hadamard_halves(live, low, high, tmp)
+    live[np.abs(live) <= PRUNE_THRESHOLD] = 0
 
 
 def apply_control_rotations(state: StateVector) -> StateVector:
@@ -610,44 +579,59 @@ def apply_control_rotations(state: StateVector) -> StateVector:
     rest, r = np.unique(idx & ~control.mask, return_inverse=True)
     c = (idx & control.mask) >> control.offset
     # rest is sorted, so the entries with equal bits above the control
-    # register form runs rest[s:e], the groups.
-    high = rest >> (control.offset + b)
-    edges = [0, *(np.flatnonzero(high[1:] != high[:-1]) + 1).tolist(), rest.size]
-    sizes = np.diff(edges)
-    first, width = np.repeat(edges[:-1], sizes)[r], np.repeat(sizes, sizes)[r]
-    # Group rest[s:e] owns buf[rows*s : rows*e] as a (rows, e - s) block
-    # whose entry [c, r - s] is the amplitude of rest[r] | (c <<
-    # control.offset), so buf is in basis-index order.
-    buf = np.zeros(rows * rest.size, dtype=np.complex128)
-    buf[rows * first + c * width + (r - first)] = state._amps
-    # Groups of one size, such as the two branches of a retrieval state,
-    # run as one stack: a (groups, rows, size) view. Otherwise each group
-    # is a stack of its own.
-    if (sizes == sizes[0]).all():
-        stacks = [(0, rest.size, sizes.size)]
-    else:
-        stacks = [(s, e, 1) for s, e in itertools.pairwise(edges)]
-    zeros = n - np.bitwise_count(rest & layout.memory.mask).astype(np.int64)
+    # register form runs, the groups; rest[j] is column col[j] of group
+    # group[j].
+    above = rest >> (control.offset + b)
+    col = np.arange(rest.size) - np.searchsorted(above, above)
+    group = np.cumsum(col == 0) - 1
+    # buf[group[j], c, col[j]] is the amplitude of basis index rest[j] |
+    # (c << control.offset), so buf lists the basis states in index order.
+    # Groups smaller than the largest are padded with columns of 0, which
+    # every butterfly and phase keeps at 0. The padding costs time and
+    # memory only where group sizes differ; the groups of a retrieval
+    # state are its branches, which have one size.
+    shape = (int(group[-1]) + 1, rows, int(col.max()) + 1)
+    buf = np.zeros(shape, dtype=np.complex128)
+    buf[group[r], c, col[r]] = state._amps
+    words = np.zeros((shape[0], shape[2]), dtype=np.int64)
+    words[group, col] = rest
+    zeros = n - np.bitwise_count(words & layout.memory.mask).astype(np.int64)
     table = _phase_table(n)
-    # phases[v, r]: the phase of rest[r] under control bit value v.
-    phases = np.stack((table[n + zeros], table[n - zeros]))
+    # phases[g, 0, v, 0, j]: the phase of column j of group g under control
+    # bit value v.
+    phases = np.stack((table[n + zeros], table[n - zeros]), axis=1)[:, None, :, None]
     filled = int(c.max()).bit_length()
-    largest = max(e - s for s, e, _ in stacks)
-    scratch = np.empty((rows // 2) * largest, dtype=np.complex128)
-    for s, e, count in stacks:
-        block = buf[rows * s : rows * e].reshape(count, rows, -1)
-        # view[g, 0, v, 0, j]: the phase of rest[s + g * size + j].
-        view = phases[:, s:e].reshape(2, count, 1, 1, -1).transpose(1, 2, 0, 3, 4)
-        for k in range(b):
-            _rotate_block(block, k, filled, view, scratch)
+    scratch = np.empty(buf.size // 2, dtype=np.complex128)
+    for k in range(b):
+        live = buf[:, : 1 << max(filled, k + 1)]
+        # Axis 2 of the view is control bit k.
+        halves = live.reshape(shape[0], -1, 2, 1 << k, shape[2])
+        low, high = halves[:, :, 0], halves[:, :, 1]
+        tmp = scratch[: low.size].reshape(low.shape)
+        if k >= filled:
+            # The rows with bit k set are still +0, so the Hadamard's
+            # difference is the lower half and its sum is the lower half
+            # plus +0, which differs only where a part is -0.0: adding 0.0
+            # after the scaling turns those into +0.0, as the sum does.
+            low *= _SQRT_HALF
+            low[np.abs(low) <= PRUNE_THRESHOLD] = 0
+            high[...] = low
+            low += 0.0
+        else:
+            _hadamard_halves(live, low, high, tmp)
+        # One multiply over both halves, never a one-element product: numpy
+        # can send that through a scalar loop that rounds differently from
+        # the vector loop apply_hamming_phase runs.
+        halves *= phases
+        _hadamard_halves(live, low, high, tmp)
     del scratch
-    out_idx = np.empty(buf.size, dtype=np.int64)
+    out_idx = np.empty(shape, dtype=np.int64)
     shifts = (np.arange(rows, dtype=np.int64) << control.offset)[:, None]
-    for s, e, count in stacks:
-        block = out_idx[rows * s : rows * e].reshape(count, rows, -1)
-        np.bitwise_or(rest[s:e].reshape(count, 1, -1), shifts, out=block)
+    np.bitwise_or(words[:, None, :], shifts, out=out_idx)
     # The rotations zeroed every amplitude of magnitude at most
-    # PRUNE_THRESHOLD, so the nonzero ones are the ones to keep.
+    # PRUNE_THRESHOLD, and the padding is 0, so the nonzero amplitudes are
+    # the ones to keep.
+    buf, out_idx = buf.reshape(-1), out_idx.reshape(-1)
     keep = buf != 0
     if keep.all():
         return StateVector._sparse(layout, out_idx, buf)

@@ -687,6 +687,12 @@ class TestDenseAgainstOperators:
             subspace_mass(state, mask, value)
 
 
+def assert_same_bits(got, want):
+    """Equal arrays, bit for bit: unlike np.array_equal, -0.0 differs from +0.0."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def assert_rotations_match_the_gate_sequence(state):
     expect = state
     for qubit in state.layout.control.bits():
@@ -695,7 +701,7 @@ def assert_rotations_match_the_gate_sequence(state):
         expect = apply_hadamard(expect, qubit)
     got = apply_control_rotations(state)
     assert np.array_equal(got.arrays()[0], expect.arrays()[0])
-    assert np.array_equal(got.arrays()[1], expect.arrays()[1])
+    assert_same_bits(got.arrays()[1], expect.arrays()[1])
     assert got.allclose(apply_control_rotations(state.to_mode("dense")), 1e-12)
 
 
@@ -740,6 +746,17 @@ class TestControlRotationKernel:
         tiny = 1.2e-14
         state = StateVector.from_arrays(
             layout, [0b0011, 0b0010], [tiny, math.sqrt(1 - tiny**2)]
+        )
+        assert_rotations_match_the_gate_sequence(state)
+
+    def test_keeps_signed_zeros_on_an_empty_upper_half(self):
+        # Memory word 11 has phase 1 under either control value. Its
+        # amplitude -0.6 - 0.0j keeps the -0.0 through a plain scaling, but
+        # the gate sequence's first Hadamard adds the empty upper half,
+        # +0.0, which turns it into +0.0.
+        layout = RegisterLayout.retrieval(2, 2)
+        state = StateVector.from_arrays(
+            layout, [0b0011, 0b0010], [complex(-0.6, -0.0), 0.8]
         )
         assert_rotations_match_the_gate_sequence(state)
 
@@ -804,7 +821,7 @@ class TestAmplificationKernels:
         got = amplitude_amplify(state, branch, k)
         want_idx, want_amps = reference_amplify(state, branch, k)
         assert np.array_equal(got.arrays()[0], want_idx)
-        assert np.array_equal(got.arrays()[1], want_amps)
+        assert_same_bits(got.arrays()[1], want_amps)
         if quarter:
             # the first round keeps only the good entries
             first = amplitude_amplify(state, branch, 1)
