@@ -19,6 +19,7 @@ two readings are labeled distinctly rather than merged.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -29,15 +30,18 @@ from .memory import check_branch_weights, memory_overlap, solve_efficiencies
 from .patterns import BitPattern, PatternSet, check_width, hamming_distance
 from .statevector import (
     MAX_AMPLITUDES,
+    RegisterLaw,
     RegisterLayout,
     StateVector,
     apply_control_rotations,
     collapse_qubit,
+    collapse_register,
     flip_bits,
     measure_qubit,
     measure_register,
     reflect_about_state,
     reflect_good_subspace,
+    register_law,
     subspace_mass,
 )
 
@@ -425,6 +429,17 @@ def _retrieval_pipeline(
     )
 
 
+def _drawer(law: RegisterLaw):
+    """law.draw as a closure over list copies of the law.
+
+    bisect_right makes the comparisons of searchsorted(side="right")
+    without numpy's per-call overhead.
+    """
+    cumulative, outcomes, clamp = law
+    cumulative, outcomes = cumulative.tolist(), outcomes.tolist()
+    return lambda u: outcomes[min(bisect_right(cumulative, u), clamp)]
+
+
 def _read_out(
     state: StateVector, branch: int, rng
 ) -> tuple[BitPattern, BitPattern] | None:
@@ -507,10 +522,13 @@ def simulate_distribution(
     """Monte-Carlo retrieval shots compared against the analytic law.
 
     The pipeline and the per-branch amplification are deterministic, so
-    the default path computes each branch's post-amplification state once
-    and draws all outcomes in bulk. strict mode instead walks every shot
-    sequentially through the measurement primitives; it is slower and
-    exists to reproduce golden files.
+    both paths compute each branch's post-amplification state once. The
+    default path draws all outcomes in bulk. strict mode replays retrieve's
+    readout shot by shot, with the same rng order (branch, control, then
+    memory after a good control outcome) and the same outcomes as
+    measure_register, but builds each branch's control and memory laws
+    once (register_law) and spends one bisection per draw; it exists to
+    reproduce golden files.
     """
     analytic = analytic_distribution(input_pattern, patterns, config.b)
     gamma, gamma_bar = resolve_gamma(config.gamma_mode, patterns)
@@ -544,14 +562,33 @@ def simulate_distribution(
     failed = 0
 
     if strict:
+        # The rng order of _read_out per shot: branch, control, and memory
+        # only after a good control outcome. Each branch's laws are built
+        # once; the memory law on the first good draw, so a branch whose
+        # good amplitudes were all pruned never projects onto them.
+        good = {0: 0, 1: (1 << control.width) - 1}
+        control_draw = {
+            branch: _drawer(register_law(amplified, control))
+            for branch, amplified in branch_states.items()
+        }
+        memory_draw = {}
+        value_counts: dict[int, Counter[int]] = {0: Counter(), 1: Counter()}
         for _ in range(config.shots):
             branch = 1 if rng.random() < gamma_bar else 0
             branch_shots[branch] += 1
-            readout = _read_out(branch_states[branch], branch, rng)
-            if readout is None:
+            if control_draw[branch](rng.random()) != good[branch]:
                 failed += 1
-            else:
-                branch_counts[branch][readout[1]] += 1
+                continue
+            if branch not in memory_draw:
+                _, projected = collapse_register(
+                    branch_states[branch], control, good[branch]
+                )
+                memory_draw[branch] = _drawer(register_law(projected, mem))
+            value_counts[branch][memory_draw[branch](rng.random())] += 1
+        for branch, counter in value_counts.items():
+            for value, c in counter.items():
+                raw = BitPattern(value, mem.width)
+                branch_counts[branch][raw.mirror() if branch else raw] = c
     else:
         us = rng.random(config.shots)
         branches = np.where(us < gamma_bar, 1, 0)

@@ -34,6 +34,13 @@ reflection negates inside one copy, the reflection about a state
 subtracts the state from the scaled axis, a projection renormalizes the
 amplitudes it selected) rather than combining full-size intermediate
 arrays. int64 indices limit layouts to 63 qubits.
+Measuring a register is register_law, one draw from it and a projection.
+The law holds the cumulative Born masses in register-value order (sparse:
+one position per support entry, stably sorted by register value; dense:
+one per register value), the outcome at each position and a clamp
+position; a draw returns the outcome at the first position whose
+cumulative mass exceeds a uniform u, or at the clamp when none does. A
+caller that draws many times from one state builds its law once.
 Dense mode keeps the full 2**total_qubits vector, at most 24 qubits, and is
 written separately, as the reference that sparse results are
 cross-validated against; both modes implement every operation and agree
@@ -56,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -364,6 +371,10 @@ def _check_qubit(state: StateVector, qubit: int) -> None:
         raise IndexError(
             f"qubit {qubit} out of range for {state.layout.total_qubits}-qubit layout"
         )
+
+
+def _register(state: StateVector, register: str | Register) -> Register:
+    return state.layout.register(register) if isinstance(register, str) else register
 
 
 def _blocks(amps: np.ndarray, offset: int, width: int) -> np.ndarray:
@@ -697,30 +708,72 @@ def measure_qubit(state: StateVector, qubit: int, rng) -> tuple[int, StateVector
     return outcome, collapsed
 
 
+class RegisterLaw(NamedTuple):
+    """A register's Born law, ready for repeated draws.
+
+    cumulative holds the cumulative masses in register-value order and
+    outcomes the register value at each position; clamp is the last
+    position a draw may return, so a draw at or above the total mass (which
+    rounding can leave below 1) lands on a value of nonzero mass.
+    """
+
+    cumulative: np.ndarray
+    outcomes: np.ndarray
+    clamp: int
+
+    def draw(self, u: float) -> int:
+        """The value at which the cumulative mass first exceeds u."""
+        first = int(np.searchsorted(self.cumulative, u, side="right"))
+        return int(self.outcomes[min(first, self.clamp)])
+
+
+def register_law(state: StateVector, register: str | Register) -> RegisterLaw:
+    """The Born law that measure_register draws one outcome from.
+
+    Sparse: clamped at the last support entry. Dense: clamped at the last
+    register value of nonzero mass.
+    """
+    reg = _register(state, register)
+    if state.mode == "dense":
+        blocks = np.abs(_blocks(state._amps, reg.offset, reg.width)) ** 2
+        marginal = blocks.sum(axis=(0, 2))
+        return RegisterLaw(
+            np.cumsum(marginal),
+            np.arange(marginal.size),
+            int(np.flatnonzero(marginal)[-1]),
+        )
+    idx, amps = state.arrays()
+    values = (idx & reg.mask) >> reg.offset
+    order = np.argsort(values, kind="stable")
+    cumulative = np.cumsum(np.abs(amps[order]) ** 2)
+    return RegisterLaw(cumulative, values[order], idx.size - 1)
+
+
+def collapse_register(
+    state: StateVector, register: str | Register, value: int
+) -> tuple[float, StateVector]:
+    """Project a register onto a value and renormalize.
+
+    Returns (outcome probability, collapsed state). Collapsing onto a
+    zero-probability value is an error.
+    """
+    reg = _register(state, register)
+    return _project(state, reg.mask, value << reg.offset)
+
+
 def measure_register(
     state: StateVector, register: str | Register, rng
 ) -> tuple[str, StateVector]:
-    """Born-rule measurement of a whole register.
+    """Born-rule measurement of a whole register: one draw from register_law.
 
     Returns (bit string, collapsed state); the string is written with the
     register's first qubit leftmost, matching the pattern convention. The
     outcome is the register value, in increasing order, at which the
     cumulative mass first exceeds one uniform draw.
     """
-    reg = state.layout.register(register) if isinstance(register, str) else register
-    if state.mode == "dense":
-        blocks = np.abs(_blocks(state._amps, reg.offset, reg.width)) ** 2
-        marginal = blocks.sum(axis=(0, 2))
-        first = int(np.searchsorted(np.cumsum(marginal), rng.random(), side="right"))
-        chosen = min(first, int(np.flatnonzero(marginal)[-1]))
-    else:
-        idx, amps = state.arrays()
-        values = (idx & reg.mask) >> reg.offset
-        order = np.argsort(values, kind="stable")
-        cumulative = np.cumsum(np.abs(amps[order]) ** 2)
-        first = int(np.searchsorted(cumulative, rng.random(), side="right"))
-        chosen = int(values[order[min(first, idx.size - 1)]])
-    _, collapsed = _project(state, reg.mask, chosen << reg.offset)
+    reg = _register(state, register)
+    chosen = register_law(state, reg).draw(rng.random())
+    _, collapsed = collapse_register(state, reg, chosen)
     return str(BitPattern(chosen, reg.width)), collapsed
 
 

@@ -108,6 +108,22 @@ class TestDistributionCommand:
         )
         assert result.returncode == 3
 
+    @pytest.mark.parametrize("mode", ["sparse", "dense"])
+    def test_strict_replay_with_no_good_mass_fails_every_shot(self, pattern_file, mode):
+        # P = cos^2(pi/6) = 3/4, so one round leaves sin^2(pi) ~ 0 good mass,
+        # all of it pruned: no control draw is good and nothing is projected.
+        path = pattern_file("100\n")
+        result = run_cli(
+            "distribution", "--patterns", path, "--input", "000", "--b", "1",
+            "--amp-mode", "fixed:1", "--strict-deterministic", "--shots", "50",
+            "--seed", "3", "--mode", mode,
+        )
+        assert result.returncode == 0, result.stderr
+        results = json.loads(result.stdout)["results"]
+        assert results["successes"] == 0
+        assert results["failed_rounds"] == 50
+        assert results["empirical_count"] == {}
+
 
 class TestRetrieveCommand:
     def test_exact_match_zero_iterations(self, pattern_file):

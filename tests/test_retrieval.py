@@ -1,7 +1,11 @@
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mirrorqam.errors import (
     DimensionError,
@@ -39,6 +43,7 @@ from mirrorqam.statevector import (
     RegisterLayout,
     StateVector,
     collapse_qubit,
+    measure_register,
 )
 
 from conftest import random_instance
@@ -534,6 +539,115 @@ class TestSimulateDistribution:
         assert tv_distance(
             report.empirical_by_branch[0], report.empirical_by_branch[1]
         ) < 0.05
+
+
+def per_shot_replay(inp, patterns, config):
+    """The strict replay as one measure_register call per readout.
+
+    Per shot: one draw for the branch, a control measurement of the
+    branch's amplified state and, after a good control outcome, a memory
+    measurement of the collapsed state. The report fields are assembled
+    as simulate_distribution assembles them, the TV sum included.
+    """
+    analytic = analytic_distribution(inp, patterns, config.b)
+    gamma, gamma_bar = resolve_gamma(config.gamma_mode, patterns)
+    state = run_pipeline(
+        inp, patterns, gamma, gamma_bar, config.b, config.representation
+    )
+    amplified = {}
+    for branch, mass in ((0, gamma), (1, gamma_bar)):
+        if mass > 0.0:
+            start = collapse_qubit(state, state.layout.ancilla.offset, branch)[1]
+            p_good = good_subspace_probability(start, branch)
+            amp = config.amplification_mode
+            if amp.kind == "exact":
+                k = optimal_iterations(p_good)
+            elif amp.kind == "estimate":
+                k = estimate_iterations(config.b, 0)
+            else:
+                k = amp.k
+            amplified[branch] = amplitude_amplify(start, branch, k)
+    rng = np.random.default_rng(config.seed)
+    counts = {0: Counter(), 1: Counter()}
+    branch_shots = {0: 0, 1: 0}
+    failed = 0
+    for _ in range(config.shots):
+        branch = 1 if rng.random() < gamma_bar else 0
+        branch_shots[branch] += 1
+        word, collapsed = measure_register(amplified[branch], "control", rng)
+        if word != str(branch) * len(word):
+            failed += 1
+            continue
+        raw = bp(measure_register(collapsed, "memory", rng)[0])
+        counts[branch][raw.mirror() if branch else raw] += 1
+    total = counts[0] + counts[1]
+    successes = sum(total.values())
+    empirical = {q: c / successes for q, c in total.items()} if successes else {}
+    tv = 0.5 * sum(
+        abs(empirical.get(q, 0.0) - analytic.conditional.get(q, 0.0))
+        for q in set(analytic.conditional) | set(empirical)
+    )
+    by_branch = {branch: sum(c.values()) for branch, c in counts.items()}
+    return dict(total), branch_shots, by_branch, failed, tv
+
+
+@st.composite
+def memories(draw):
+    """(pattern words, input word) with n <= 8 and at most 8 patterns."""
+    n = draw(st.integers(1, 8))
+    word = st.integers(0, (1 << n) - 1).map(lambda v: str(BitPattern(v, n)))
+    words = draw(st.lists(word, min_size=1, max_size=8, unique=True))
+    return tuple(words), draw(word)
+
+
+class TestStrictExactness:
+    """Strict simulate_distribution equals the per-shot readout, draw for draw."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        memories(),
+        st.integers(1, 4),
+        st.sampled_from(["memory-only", "cloning"])
+        | st.floats(0.0, 1.0).map(lambda g: f"fixed:{g!r}"),
+        st.sampled_from(["exact", "estimate"])
+        | st.integers(0, 4).map(lambda k: f"fixed:{k}"),
+        st.integers(1, 300),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["sparse", "dense"]),
+    )
+    # One round takes P = 3/4 to ~0 good mass, all pruned: every shot fails.
+    @example((("100",), "000"), 1, "memory-only", "fixed:1", 50, 3, "sparse")
+    @example((("100",), "000"), 1, "memory-only", "fixed:1", 50, 3, "dense")
+    def test_strict_replay_equals_per_shot_readout(
+        self, memory, b, gamma, amp, shots, seed, mode
+    ):
+        words, input_word = memory
+        patterns, inp = ps(*words), bp(input_word)
+        config = RetrievalConfig(
+            b=b,
+            gamma_mode=GammaMode.parse(gamma),
+            amplification_mode=AmplificationMode.parse(amp),
+            shots=shots,
+            seed=seed,
+            representation=mode,
+        )
+        try:
+            expected = per_shot_replay(inp, patterns, config)
+        except ValueError as exc:
+            # Infeasible cloning, no retrievable mass, or a branch weight so
+            # small that its amplitudes are pruned and its ancilla collapse
+            # has nothing to project: both paths refuse alike.
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                simulate_distribution(inp, patterns, config, strict=True)
+            return
+        report = simulate_distribution(inp, patterns, config, strict=True)
+        counts, branch_shots, by_branch, failed, tv = expected
+        # Insertion order too: the TV sum runs over a set built from it.
+        assert list(report.empirical_counts.items()) == list(counts.items())
+        assert report.branch_shots == branch_shots
+        assert report.successes_by_branch == by_branch
+        assert report.failed_rounds == failed
+        assert report.total_variation_distance.hex() == tv.hex()
 
 
 class TestComplexity:
