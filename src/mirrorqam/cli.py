@@ -215,7 +215,9 @@ def cmd_distribution(args) -> tuple[dict, dict, list[dict]]:
         "failed_rounds": report.failed_rounds,
         "good_mass": report.good_mass,
     }
-    return config_echo, results, _distribution_rows(input_pattern, report)
+    # Only --format csv prints the per-pattern rows.
+    rows = _distribution_rows(input_pattern, report) if args.format == "csv" else []
+    return config_echo, results, rows
 
 
 def cmd_retrieve(args) -> tuple[dict, dict, list[dict]]:

@@ -19,7 +19,6 @@ two readings are labeled distinctly rather than merged.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -30,7 +29,7 @@ from .memory import check_branch_weights, memory_overlap, solve_efficiencies
 from .patterns import BitPattern, PatternSet, check_width, hamming_distance
 from .statevector import (
     MAX_AMPLITUDES,
-    RegisterLaw,
+    Register,
     RegisterLayout,
     StateVector,
     apply_control_rotations,
@@ -429,26 +428,26 @@ def _retrieval_pipeline(
     )
 
 
-def _drawer(law: RegisterLaw):
-    """law.draw as a closure over list copies of the law.
+def _good_control(control: Register, branch: int) -> int:
+    """The control value of branch's good subspace: every qubit reads branch."""
+    return control.mask >> control.offset if branch else 0
 
-    bisect_right makes the comparisons of searchsorted(side="right")
-    without numpy's per-call overhead.
-    """
-    cumulative, outcomes, clamp = law
-    cumulative, outcomes = cumulative.tolist(), outcomes.tolist()
-    return lambda u: outcomes[min(bisect_right(cumulative, u), clamp)]
+
+def _corrected(raw: BitPattern, branch: int) -> BitPattern:
+    """The stored pattern a memory readout stands for: branch 1 reads mirrors."""
+    return raw.mirror() if branch else raw
 
 
 def _read_out(
     state: StateVector, branch: int, rng
 ) -> tuple[BitPattern, BitPattern] | None:
     """Measure controls, then memory if all read branch: (raw, corrected) or None."""
-    word, state = measure_register(state, "control", rng)
-    if word != str(branch) * len(word):
+    control = state.layout.control
+    word, state = measure_register(state, control, rng)
+    if BitPattern.from_string(word).value != _good_control(control, branch):
         return None
     raw = BitPattern.from_string(measure_register(state, "memory", rng)[0])
-    return raw, raw.mirror() if branch else raw
+    return raw, _corrected(raw, branch)
 
 
 def retrieve(
@@ -527,8 +526,8 @@ def simulate_distribution(
     readout shot by shot, with the same rng order (branch, control, then
     memory after a good control outcome) and the same outcomes as
     measure_register, but builds each branch's control and memory laws
-    once (register_law) and spends one bisection per draw; it exists to
-    reproduce golden files.
+    once (register_law, as lists) and spends one bisection per draw; it
+    exists to reproduce golden files.
     """
     analytic = analytic_distribution(input_pattern, patterns, config.b)
     gamma, gamma_bar = resolve_gamma(config.gamma_mode, patterns)
@@ -566,29 +565,29 @@ def simulate_distribution(
         # only after a good control outcome. Each branch's laws are built
         # once; the memory law on the first good draw, so a branch whose
         # good amplitudes were all pruned never projects onto them.
-        good = {0: 0, 1: (1 << control.width) - 1}
-        control_draw = {
-            branch: _drawer(register_law(amplified, control))
+        good = {branch: _good_control(control, branch) for branch in (0, 1)}
+        control_law = {
+            branch: register_law(amplified, control).as_lists()
             for branch, amplified in branch_states.items()
         }
-        memory_draw = {}
+        memory_law = {}
         value_counts: dict[int, Counter[int]] = {0: Counter(), 1: Counter()}
         for _ in range(config.shots):
             branch = 1 if rng.random() < gamma_bar else 0
             branch_shots[branch] += 1
-            if control_draw[branch](rng.random()) != good[branch]:
+            if control_law[branch].draw(rng.random()) != good[branch]:
                 failed += 1
                 continue
-            if branch not in memory_draw:
+            if branch not in memory_law:
                 _, projected = collapse_register(
                     branch_states[branch], control, good[branch]
                 )
-                memory_draw[branch] = _drawer(register_law(projected, mem))
-            value_counts[branch][memory_draw[branch](rng.random())] += 1
+                memory_law[branch] = register_law(projected, mem).as_lists()
+            value_counts[branch][memory_law[branch].draw(rng.random())] += 1
         for branch, counter in value_counts.items():
             for value, c in counter.items():
                 raw = BitPattern(value, mem.width)
-                branch_counts[branch][raw.mirror() if branch else raw] = c
+                branch_counts[branch][_corrected(raw, branch)] = c
     else:
         us = rng.random(config.shots)
         branches = np.where(us < gamma_bar, 1, 0)
@@ -600,14 +599,14 @@ def simulate_distribution(
             indices, amps = branch_states[branch].arrays()
             probs = np.abs(amps) ** 2
             draws = indices[rng.choice(indices.size, size=count, p=probs / probs.sum())]
-            target = control.mask if branch else 0
+            target = _good_control(control, branch) << control.offset
             good = (draws & control.mask) == target
             failed += int(np.sum(~good))
             memory_values = (draws[good] & mem.mask) >> mem.offset
             values, counts = np.unique(memory_values, return_counts=True)
             for value, c in zip(values, counts):
                 raw = BitPattern(int(value), mem.width)
-                branch_counts[branch][raw.mirror() if branch else raw] += int(c)
+                branch_counts[branch][_corrected(raw, branch)] += int(c)
 
     success_counts = branch_counts[0] + branch_counts[1]
     successes = sum(success_counts.values())

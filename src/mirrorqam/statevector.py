@@ -37,10 +37,11 @@ arrays. int64 indices limit layouts to 63 qubits.
 Measuring a register is register_law, one draw from it and a projection.
 The law holds the cumulative Born masses in register-value order (sparse:
 one position per support entry, stably sorted by register value; dense:
-one per register value), the outcome at each position and a clamp
-position; a draw returns the outcome at the first position whose
-cumulative mass exceeds a uniform u, or at the clamp when none does. A
-caller that draws many times from one state builds its law once.
+one per register value), the register values with the stable order that
+sorts them, and a clamp position. A draw bisects for the first position
+whose cumulative mass exceeds a uniform u, or takes the clamp when none
+does, and gathers only that outcome. A caller that draws many times from
+one state builds its law once, as lists (RegisterLaw.as_lists).
 Dense mode keeps the full 2**total_qubits vector, at most 24 qubits, and is
 written separately, as the reference that sparse results are
 cross-validated against; both modes implement every operation and agree
@@ -62,6 +63,7 @@ configuration.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -709,22 +711,37 @@ def measure_qubit(state: StateVector, qubit: int, rng) -> tuple[int, StateVector
 
 
 class RegisterLaw(NamedTuple):
-    """A register's Born law, ready for repeated draws.
+    """A register's Born law, ready for draws.
 
-    cumulative holds the cumulative masses in register-value order and
-    outcomes the register value at each position; clamp is the last
-    position a draw may return, so a draw at or above the total mass (which
-    rounding can leave below 1) lands on a value of nonzero mass.
+    cumulative holds the cumulative masses in register-value order and the
+    outcome at position i is values[order[i]]; clamp is the last position a
+    draw may return, so a draw at or above the total mass (which rounding
+    can leave below 1) lands on a value of nonzero mass. The fields are
+    arrays, or lists after as_lists.
     """
 
-    cumulative: np.ndarray
-    outcomes: np.ndarray
+    cumulative: Sequence[float]
+    values: Sequence[int]
+    order: Sequence[int]
     clamp: int
 
     def draw(self, u: float) -> int:
         """The value at which the cumulative mass first exceeds u."""
-        first = int(np.searchsorted(self.cumulative, u, side="right"))
-        return int(self.outcomes[min(first, self.clamp)])
+        first = bisect_right(self.cumulative, u)
+        return int(self.values[self.order[min(first, self.clamp)]])
+
+    def as_lists(self) -> RegisterLaw:
+        """The same law on lists, whose draws skip numpy's per-element cost.
+
+        For a caller that draws many times; it gathers every outcome once.
+        """
+        outcomes = np.asarray(self.values)[np.asarray(self.order)]
+        return RegisterLaw(
+            np.asarray(self.cumulative).tolist(),
+            outcomes.tolist(),
+            range(outcomes.size),
+            self.clamp,
+        )
 
 
 def register_law(state: StateVector, register: str | Register) -> RegisterLaw:
@@ -737,16 +754,15 @@ def register_law(state: StateVector, register: str | Register) -> RegisterLaw:
     if state.mode == "dense":
         blocks = np.abs(_blocks(state._amps, reg.offset, reg.width)) ** 2
         marginal = blocks.sum(axis=(0, 2))
+        values = np.arange(marginal.size)
         return RegisterLaw(
-            np.cumsum(marginal),
-            np.arange(marginal.size),
-            int(np.flatnonzero(marginal)[-1]),
+            np.cumsum(marginal), values, values, int(np.flatnonzero(marginal)[-1])
         )
     idx, amps = state.arrays()
     values = (idx & reg.mask) >> reg.offset
     order = np.argsort(values, kind="stable")
     cumulative = np.cumsum(np.abs(amps[order]) ** 2)
-    return RegisterLaw(cumulative, values[order], idx.size - 1)
+    return RegisterLaw(cumulative, values, order, idx.size - 1)
 
 
 def collapse_register(

@@ -26,6 +26,7 @@ from mirrorqam.statevector import (
     measure_register,
     reflect_about_state,
     reflect_good_subspace,
+    register_law,
     subspace_mass,
 )
 
@@ -516,6 +517,25 @@ class TestEngineProperties:
         expect = 2 * np.vdot(a, s) * a - s
         assert np.max(np.abs(dense_vector(got) - expect)) <= 1e-12
         assert abs(got.norm() - 1.0) < NORM_TOLERANCE
+
+    @PROPERTY
+    @given(layouts, seeds, st.sampled_from(["memory", "control", "ancilla"]))
+    def test_register_law_draw_is_searchsorted_right(self, layout, seed, name):
+        # Every cumulative mass is drawn exactly, where a tie decides the
+        # position; the list copy draws the same outcomes.
+        reg = layout.register(name)
+        state = random_state(layout, seed)
+        for mode in ("sparse", "dense"):
+            law = register_law(state.to_mode(mode), reg)
+            cumulative = np.asarray(law.cumulative)
+            us = [0.0, 1.0, *cumulative.tolist()]
+            us += np.random.default_rng(seed).random(20).tolist()
+            lists = law.as_lists()
+            for u in us:
+                first = int(np.searchsorted(cumulative, u, side="right"))
+                position = min(first, law.clamp)
+                expect = int(law.values[law.order[position]])
+                assert law.draw(u) == lists.draw(u) == expect
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(layouts, seeds, st.sampled_from(["memory", "control", "ancilla"]))
