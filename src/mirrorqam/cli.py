@@ -4,8 +4,9 @@ Reports are JSON by default, with top-level keys config, results, version,
 and timing_ms; re-running a command with identical flags and seed under
 --strict-deterministic reproduces the results section byte-for-byte. CSV
 emits the command's tabular view with a stable column order. Exit codes:
-0 success, 2 parse error, 3 dimension error, 4 zero retrievable mass,
-5 infeasible cloning requirement.
+0 success; a user error prints one line and exits with the exit_code of
+its class in errors (2 parse error, 3 dimension error, 4 zero retrievable
+mass, 5 infeasible cloning requirement).
 """
 
 from __future__ import annotations
@@ -18,20 +19,9 @@ import math
 import secrets
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
-from .errors import (
-    EXIT_DIMENSION_ERROR,
-    EXIT_INFEASIBLE_CLONING,
-    EXIT_OK,
-    EXIT_PARSE_ERROR,
-    EXIT_ZERO_MASS,
-    CloningError,
-    DimensionError,
-    PatternParseError,
-    ZeroMassError,
-)
+from .errors import CloningError, DimensionError, PatternParseError, ZeroMassError
 from .memory import gram_residual, memory_overlap, solve_efficiencies
 from .patterns import BitPattern, PatternSet, hamming_distance, parse_pattern_file
 from .retrieval import (
@@ -46,25 +36,6 @@ from .retrieval import (
     run_retrieval,
     simulate_distribution,
 )
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """One command's output: config echo, results payload, version, timing."""
-
-    config: dict
-    results: dict
-    version: str
-    timing_ms: float
-
-    def to_json(self) -> str:
-        payload = {
-            "config": self.config,
-            "results": self.results,
-            "version": self.version,
-            "timing_ms": self.timing_ms,
-        }
-        return json.dumps(_jsonable(payload), sort_keys=True, indent=2)
 
 
 def _jsonable(value):
@@ -172,7 +143,13 @@ def _distribution_rows(input_pattern, report):
     return rows
 
 
-def cmd_distribution(args) -> tuple[dict, dict, list[dict]]:
+def _retrieval_request(
+    args, command: str, **extra
+) -> tuple[PatternSet, BitPattern, RetrievalConfig, dict]:
+    """Pattern set, input, seed, RetrievalConfig and config echo of a retrieval run.
+
+    extra names the command's own flags (shots or retries) for the echo.
+    """
     patterns = _load_patterns(args.patterns)
     input_pattern = _parse_input(args.input)
     seed = _resolve_seed(args.seed)
@@ -180,26 +157,33 @@ def cmd_distribution(args) -> tuple[dict, dict, list[dict]]:
         b=args.b,
         gamma_mode=args.gamma_mode,
         amplification_mode=args.amp_mode,
-        shots=args.shots,
+        shots=extra.get("shots", 1),
         seed=seed,
         representation=args.mode,
     )
-    report = simulate_distribution(
-        input_pattern, patterns, config, strict=args.strict_deterministic
-    )
     config_echo = {
-        "command": "distribution",
+        "command": command,
         "patterns": args.patterns,
         "input": str(input_pattern),
         "b": args.b,
-        "shots": args.shots,
         "seed": seed,
         "gamma_mode": args.gamma_mode.describe(),
         "amp_mode": args.amp_mode.describe(),
         "mode": args.mode,
         "strict_deterministic": args.strict_deterministic,
         "format": args.format,
+        **extra,
     }
+    return patterns, input_pattern, config, config_echo
+
+
+def cmd_distribution(args) -> tuple[dict, dict, list[dict]]:
+    patterns, input_pattern, config, config_echo = _retrieval_request(
+        args, "distribution", shots=args.shots
+    )
+    report = simulate_distribution(
+        input_pattern, patterns, config, strict=args.strict_deterministic
+    )
     results = {
         "analytic_unnormalized": report.analytic_unnormalized,
         "analytic_conditional": report.analytic_conditional,
@@ -220,16 +204,22 @@ def cmd_distribution(args) -> tuple[dict, dict, list[dict]]:
     return config_echo, results, rows
 
 
+# The retrieve CSV row: the results keys that describe the final round.
+ROW_KEYS = (
+    "succeeded",
+    "ancilla_branch",
+    "raw_pattern",
+    "output_pattern",
+    "amplification_iterations",
+    "good_probability_before",
+    "failed_rounds",
+    "rounds_used",
+)
+
+
 def cmd_retrieve(args) -> tuple[dict, dict, list[dict]]:
-    patterns = _load_patterns(args.patterns)
-    input_pattern = _parse_input(args.input)
-    seed = _resolve_seed(args.seed)
-    config = RetrievalConfig(
-        b=args.b,
-        gamma_mode=args.gamma_mode,
-        amplification_mode=args.amp_mode,
-        seed=seed,
-        representation=args.mode,
+    patterns, input_pattern, config, config_echo = _retrieval_request(
+        args, "retrieve", retries=args.retries
     )
     run = run_retrieval(input_pattern, patterns, config, max_rounds=args.retries)
     analytic = analytic_distribution(input_pattern, patterns, args.b)
@@ -239,19 +229,6 @@ def cmd_retrieve(args) -> tuple[dict, dict, list[dict]]:
         if outcome.output_pattern is not None
         else None
     )
-    config_echo = {
-        "command": "retrieve",
-        "patterns": args.patterns,
-        "input": str(input_pattern),
-        "b": args.b,
-        "seed": seed,
-        "gamma_mode": args.gamma_mode.describe(),
-        "amp_mode": args.amp_mode.describe(),
-        "mode": args.mode,
-        "retries": args.retries,
-        "strict_deterministic": args.strict_deterministic,
-        "format": args.format,
-    }
     results = {
         "succeeded": outcome.succeeded,
         "ancilla_branch": outcome.ancilla_branch,
@@ -274,17 +251,8 @@ def cmd_retrieve(args) -> tuple[dict, dict, list[dict]]:
             for r in run.rounds
         ],
     }
-    row = {
-        "succeeded": outcome.succeeded,
-        "ancilla_branch": outcome.ancilla_branch,
-        "raw_pattern": str(outcome.raw_pattern) if outcome.raw_pattern else "",
-        "output_pattern": str(outcome.output_pattern) if outcome.output_pattern else "",
-        "amplification_iterations": outcome.amplification_iterations,
-        "good_probability_before": outcome.good_probability_before,
-        "failed_rounds": run.failed_rounds,
-        "rounds_used": len(run.rounds),
-    }
-    return config_echo, results, [row]
+    # csv.DictWriter writes a BitPattern through str() and None as "".
+    return config_echo, results, [{k: results[k] for k in ROW_KEYS}]
 
 
 def cmd_clone_check(args) -> tuple[dict, dict, list[dict]]:
@@ -481,31 +449,21 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         config_echo, results, rows = args.handler(args)
-    except PatternParseError as exc:
+    except (PatternParseError, DimensionError, ZeroMassError, CloningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except DimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION_ERROR
-    except ZeroMassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ZERO_MASS
-    except CloningError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE_CLONING
+        return exc.exit_code
     timing_ms = (time.perf_counter() - started) * 1000.0
     if args.format == "csv":
         sys.stdout.write(_emit_csv(rows))
     else:
-        report = RunReport(
-            config=_jsonable(config_echo),
-            results=_jsonable(results),
-            version=__version__,
-            timing_ms=round(timing_ms, 3),
-        )
-        print(report.to_json())
-    return EXIT_OK
-
+        report = {
+            "config": config_echo,
+            "results": results,
+            "version": __version__,
+            "timing_ms": round(timing_ms, 3),
+        }
+        print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main())

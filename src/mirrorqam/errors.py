@@ -1,15 +1,14 @@
-"""Exception types and the CLI exit-code contract."""
+"""Exception types; each user-error class carries its CLI exit code.
 
-EXIT_OK = 0
-EXIT_UNEXPECTED = 1
-EXIT_PARSE_ERROR = 2
-EXIT_DIMENSION_ERROR = 3
-EXIT_ZERO_MASS = 4
-EXIT_INFEASIBLE_CLONING = 5
+The CLI exits with exc.exit_code for the four classes below: 2 parse
+error, 3 dimension error, 4 zero retrievable mass, 5 infeasible cloning.
+"""
 
 
 class PatternParseError(ValueError):
     """Malformed pattern input. Carries the offending line number when known."""
+
+    exit_code = 2
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -21,13 +20,19 @@ class PatternParseError(ValueError):
 class DimensionError(ValueError):
     """Width mismatch between patterns, inputs, or register layouts."""
 
+    exit_code = 3
+
 
 class ZeroMassError(ValueError):
     """Every stored pattern has vanishing retrieval weight; retrieval is impossible."""
 
+    exit_code = 4
+
 
 class CloningError(ValueError):
     """Base class for failures of the cloning-efficiency constraint."""
+
+    exit_code = 5
 
 
 class SingularOverlapError(CloningError):

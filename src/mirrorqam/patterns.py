@@ -15,7 +15,6 @@ equally and a silent dedup would change the pattern count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import DimensionError, PatternParseError
@@ -25,7 +24,8 @@ from .errors import DimensionError, PatternParseError
 class BitPattern:
     """An ordered n-bit binary word; the unit of storage and retrieval.
 
-    Bit j of value is character j of the pattern string.
+    Bit j of value is character j of the pattern string. Equality and the
+    hash are those of the dataclass fields, (value, n).
     """
 
     value: int
@@ -37,20 +37,13 @@ class BitPattern:
         if not 0 <= self.value < 1 << self.n:
             raise ValueError(f"value {self.value!r} does not fit in {self.n} bits")
 
-    def __hash__(self) -> int:
-        # Distribution reports sum the total variation distance over a set of
-        # patterns, so its last digit follows this hash; hashing the bit tuple
-        # (computed once per pattern) keeps seeded reports byte for byte as
-        # they were when patterns were stored as bit tuples.
-        return hash((self.bits,))
-
     @classmethod
     def from_string(cls, text: str) -> BitPattern:
         if not text or any(c not in "01" for c in text):
             raise ValueError(f"not a binary string: {text!r}")
         return cls(int(text[::-1], 2), len(text))
 
-    @cached_property
+    @property
     def bits(self) -> tuple[int, ...]:
         return tuple((self.value >> j) & 1 for j in range(self.n))
 

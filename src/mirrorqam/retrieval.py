@@ -400,14 +400,22 @@ def amplitude_amplify(state: StateVector, branch: int, k: int) -> StateVector:
     return current
 
 
-def _resolve_iterations(
-    mode: AmplificationMode, p_good: float, b: int, round_index: int
-) -> int:
+def _amplify_branch(
+    start: StateVector, branch: int, config: RetrievalConfig, round_index: int
+) -> tuple[float, int, StateVector]:
+    """(good-subspace mass, iteration count, amplified state) of one branch.
+
+    round_index only matters in estimate mode, where it varies the count.
+    """
+    p_good = good_subspace_probability(start, branch)
+    mode = config.amplification_mode
     if mode.kind == "exact":
-        return optimal_iterations(p_good)
-    if mode.kind == "fixed":
-        return mode.k
-    return estimate_iterations(b, round_index)
+        k = optimal_iterations(p_good)
+    elif mode.kind == "fixed":
+        k = mode.k
+    else:
+        k = estimate_iterations(config.b, round_index)
+    return p_good, k, amplitude_amplify(start, branch, k)
 
 
 def _retrieval_pipeline(
@@ -473,9 +481,7 @@ def retrieve(
     if state is None:
         state = _retrieval_pipeline(input_pattern, patterns, config)
     branch, state = measure_qubit(state, state.layout.ancilla.offset, rng)
-    p_good = good_subspace_probability(state, branch)
-    k = _resolve_iterations(config.amplification_mode, p_good, config.b, round_index)
-    state = amplitude_amplify(state, branch, k)
+    p_good, k, state = _amplify_branch(state, branch, config, round_index)
     readout = _read_out(state, branch, rng)
     if readout is None:
         return RetrievalOutcome(branch, k, p_good, False, None, None)
@@ -511,6 +517,12 @@ def run_retrieval(
     return RetrievalRun(None, tuple(rounds), max_rounds)
 
 
+def _frequencies(counter: Counter) -> dict:
+    """Each key's share of the counter's total, in the counter's order."""
+    total = sum(counter.values())
+    return {key: c / total for key, c in counter.items()} if total else {}
+
+
 def simulate_distribution(
     input_pattern: BitPattern,
     patterns: PatternSet,
@@ -521,13 +533,18 @@ def simulate_distribution(
     """Monte-Carlo retrieval shots compared against the analytic law.
 
     The pipeline and the per-branch amplification are deterministic, so
-    both paths compute each branch's post-amplification state once. The
-    default path draws all outcomes in bulk. strict mode replays retrieve's
-    readout shot by shot, with the same rng order (branch, control, then
-    memory after a good control outcome) and the same outcomes as
-    measure_register, but builds each branch's control and memory laws
-    once (register_law, as lists) and spends one bisection per draw; it
-    exists to reproduce golden files.
+    both paths compute each branch's post-amplification state once. A
+    branch absent from the pipeline state (its weight is zero, or so small
+    that its amplitudes were pruned) is not collapsed, and a shot drawn
+    onto it is a failed round. The default path draws all outcomes in
+    bulk. strict mode replays retrieve's readout shot by shot, with the
+    same rng order (branch, control, then memory after a good control
+    outcome) and the same outcomes as measure_register, but builds each
+    branch's control and memory laws once (register_law, as lists) and
+    spends one bisection per draw; it exists to reproduce golden files.
+    Both paths count memory values per branch (strict in first-draw
+    order, bulk in ascending order); the total variation distance is an
+    exactly rounded math.fsum, so it does not depend on set order.
     """
     analytic = analytic_distribution(input_pattern, patterns, config.b)
     gamma, gamma_bar = resolve_gamma(config.gamma_mode, patterns)
@@ -539,24 +556,22 @@ def simulate_distribution(
     layout = state.layout
     mem, control, anc = layout.memory, layout.control, layout.ancilla
 
-    # Collapse both branches first, so the two-branch state is released
-    # before amplification builds its states.
+    # Collapse every branch the state holds first, so the two-branch state
+    # is released before amplification builds its states.
     collapsed = {
         branch: collapse_qubit(state, anc.offset, branch)[1]
-        for branch, mass in ((0, gamma), (1, gamma_bar))
-        if mass > 0.0
+        for branch in (0, 1)
+        if subspace_mass(state, anc.mask, branch << anc.offset) > 0.0
     }
     del state
     branch_states: dict[int, StateVector] = {}
     iterations: dict[int, int] = {}
     for branch in list(collapsed):
-        start = collapsed.pop(branch)
-        p_good = good_subspace_probability(start, branch)
-        k = _resolve_iterations(config.amplification_mode, p_good, config.b, 0)
-        branch_states[branch] = amplitude_amplify(start, branch, k)
-        iterations[branch] = k
+        _, iterations[branch], branch_states[branch] = _amplify_branch(
+            collapsed.pop(branch), branch, config, 0
+        )
 
-    branch_counts: dict[int, Counter[BitPattern]] = {0: Counter(), 1: Counter()}
+    value_counts: dict[int, Counter[int]] = {0: Counter(), 1: Counter()}
     branch_shots = {0: 0, 1: 0}
     failed = 0
 
@@ -571,11 +586,11 @@ def simulate_distribution(
             for branch, amplified in branch_states.items()
         }
         memory_law = {}
-        value_counts: dict[int, Counter[int]] = {0: Counter(), 1: Counter()}
         for _ in range(config.shots):
             branch = 1 if rng.random() < gamma_bar else 0
             branch_shots[branch] += 1
-            if control_law[branch].draw(rng.random()) != good[branch]:
+            law = control_law.get(branch)  # None: the branch is absent
+            if law is None or law.draw(rng.random()) != good[branch]:
                 failed += 1
                 continue
             if branch not in memory_law:
@@ -584,17 +599,13 @@ def simulate_distribution(
                 )
                 memory_law[branch] = register_law(projected, mem).as_lists()
             value_counts[branch][memory_law[branch].draw(rng.random())] += 1
-        for branch, counter in value_counts.items():
-            for value, c in counter.items():
-                raw = BitPattern(value, mem.width)
-                branch_counts[branch][_corrected(raw, branch)] = c
     else:
-        us = rng.random(config.shots)
-        branches = np.where(us < gamma_bar, 1, 0)
+        branches = rng.random(config.shots) < gamma_bar
         for branch in (0, 1):
-            count = int(np.sum(branches == branch))
+            count = int(np.count_nonzero(branches == branch))
             branch_shots[branch] = count
             if count == 0 or branch not in branch_states:
+                failed += count  # every shot onto an absent branch fails
                 continue
             indices, amps = branch_states[branch].arrays()
             probs = np.abs(amps) ** 2
@@ -604,39 +615,32 @@ def simulate_distribution(
             failed += int(np.sum(~good))
             memory_values = (draws[good] & mem.mask) >> mem.offset
             values, counts = np.unique(memory_values, return_counts=True)
-            for value, c in zip(values, counts):
-                raw = BitPattern(int(value), mem.width)
-                branch_counts[branch][_corrected(raw, branch)] += int(c)
+            value_counts[branch].update(dict(zip(values.tolist(), counts.tolist())))
 
+    branch_counts = {
+        branch: Counter(
+            {_corrected(BitPattern(v, mem.width), branch): c for v, c in counter.items()}
+        )
+        for branch, counter in value_counts.items()
+    }
     success_counts = branch_counts[0] + branch_counts[1]
-    successes = sum(success_counts.values())
-    empirical = (
-        {q: c / successes for q, c in success_counts.items()} if successes else {}
-    )
+    empirical = _frequencies(success_counts)
     support = set(analytic.conditional) | set(empirical)
-    tv = 0.5 * sum(
+    tv = 0.5 * math.fsum(
         abs(empirical.get(q, 0.0) - analytic.conditional.get(q, 0.0)) for q in support
     )
-    empirical_by_branch = {}
-    successes_by_branch = {}
-    for branch, counter in branch_counts.items():
-        total = sum(counter.values())
-        successes_by_branch[branch] = total
-        empirical_by_branch[branch] = (
-            {q: c / total for q, c in counter.items()} if total else {}
-        )
     return DistributionReport(
         analytic_unnormalized=analytic.unnormalized,
         analytic_conditional=analytic.conditional,
         empirical=empirical,
         empirical_counts=dict(success_counts),
-        empirical_by_branch=empirical_by_branch,
+        empirical_by_branch={b: _frequencies(c) for b, c in branch_counts.items()},
         branch_shots=branch_shots,
-        successes_by_branch=successes_by_branch,
+        successes_by_branch={b: sum(c.values()) for b, c in branch_counts.items()},
         amplification_iterations=iterations,
         total_variation_distance=tv,
         shots=config.shots,
-        successes=successes,
+        successes=sum(success_counts.values()),
         failed_rounds=failed,
         good_mass=analytic.good_mass,
     )

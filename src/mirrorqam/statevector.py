@@ -105,18 +105,6 @@ class Register:
             raise IndexError(f"register {self.name!r} has no qubit {k}")
         return self.offset + k - 1
 
-    def encode(self, bits: Sequence[int]) -> int:
-        """Pack register-local bits (first qubit first) into an index value."""
-        if len(bits) != self.width:
-            raise DimensionError(
-                f"register {self.name!r} holds {self.width} qubits, got {len(bits)} bits"
-            )
-        return sum(1 << (self.offset + j) for j, b in enumerate(bits) if b)
-
-    def decode(self, index: int) -> tuple[int, ...]:
-        """Extract this register's bits (first qubit first) from a basis index."""
-        return tuple((index >> (self.offset + j)) & 1 for j in range(self.width))
-
 
 class RegisterLayout:
     """Named, disjoint registers covering all simulated qubits, in index order.
@@ -522,7 +510,6 @@ def apply_hamming_phase(state: StateVector, control: int) -> StateVector:
         )
     mem = layout.memory
     n = mem.width
-    step = math.pi / (2 * n)
     cmask = 1 << control
     if state.mode == "sparse":
         idx = state._idx
@@ -530,12 +517,9 @@ def apply_hamming_phase(state: StateVector, control: int) -> StateVector:
         signed = np.where((idx & cmask) != 0, -zeros, zeros)
         phases = _phase_table(n)[n + signed]
         return StateVector._sparse(layout, idx, state._amps * phases)
-    words = np.arange(1 << n)
-    zeros = np.full(1 << n, n)
-    for k in range(n):
-        zeros -= (words >> k) & 1
     # table[c, m] is the phase of memory word m under control bit value c.
-    table = np.exp(1j * step * np.outer((1, -1), zeros))
+    zeros = n - np.bitwise_count(np.arange(1 << n)).astype(np.int64)
+    table = _phase_table(n)[n + np.outer((1, -1), zeros)]
     if control > mem.offset:
         # (above, control bit, gap, memory word, below)
         gap = control - mem.offset - n
@@ -550,7 +534,7 @@ def apply_hamming_phase(state: StateVector, control: int) -> StateVector:
 
 
 def _phase_table(n: int) -> np.ndarray:
-    """table[n + k] = exp(i * (pi/2n) * k) for k = -n..n, the sparse phase values."""
+    """table[n + k] = exp(i * (pi/2n) * k) for k = -n..n, the distance phases."""
     return np.exp(1j * (math.pi / (2 * n)) * np.arange(-n, n + 1))
 
 

@@ -63,3 +63,17 @@ def probability_of_subspace(state, predicate) -> float:
     independent of the engine's mask kernels.
     """
     return sum(abs(a) ** 2 for i, a in state.items() if predicate(i))
+
+
+def encode(register, bits) -> int:
+    """Pack register-local bits (first qubit first) into a basis-index value."""
+    if len(bits) != register.width:
+        raise ValueError(
+            f"register {register.name!r} holds {register.width} qubits, got {len(bits)} bits"
+        )
+    return sum(1 << (register.offset + j) for j, b in enumerate(bits) if b)
+
+
+def decode(register, index: int) -> tuple[int, ...]:
+    """A register's bits (first qubit first) extracted from a basis index."""
+    return tuple((index >> (register.offset + j)) & 1 for j in range(register.width))

@@ -50,6 +50,7 @@ from mirrorqam.statevector import (
 
 from conftest import random_input
 from oracles import (
+    encode,
     mirror_branch_conditional,
     probability_of_subspace,
     quadrature_cos_power_average,
@@ -101,10 +102,10 @@ def test_criterion_1_distribution_law():
                 weight = (
                     0.0 if d == n else math.cos(math.pi * d / (2 * n)) ** (2 * b)
                 )
-                index0 = mem.encode(q.bits)  # ancilla 0, controls all-0
+                index0 = encode(mem, q.bits)  # ancilla 0, controls all-0
                 got0 = probability_of_subspace(state, lambda i: i == index0)
                 assert abs(got0 - gamma * weight / p) <= 1e-10
-                index1 = mem.encode(q.mirror().bits) | ctrl.mask | anc.mask
+                index1 = encode(mem, q.mirror().bits) | ctrl.mask | anc.mask
                 got1 = probability_of_subspace(state, lambda i: i == index1)
                 assert abs(got1 - (1 - gamma) * weight / p) <= 1e-10
         assert time.perf_counter() - started < 10.0
@@ -154,8 +155,8 @@ def test_criterion_3_amplification_law():
                 assert abs(got - math.sin((2 * k + 1) * theta) ** 2) <= 1e-9
         # P_good exactly 1/4: one round reaches certainty.
         lay = RegisterLayout.retrieval(1, 2)
-        good = lay.memory.encode((1,))
-        bad = good | lay.control.encode((1, 0))
+        good = encode(lay.memory, (1,))
+        bad = good | encode(lay.control, (1, 0))
         state = StateVector.from_amplitudes(lay, {good: 0.5, bad: math.sqrt(0.75)})
         amplified = amplitude_amplify(state, 0, 1)
         assert abs(good_subspace_probability(amplified, 0) - 1.0) <= 1e-9

@@ -124,6 +124,28 @@ class TestDistributionCommand:
         assert results["failed_rounds"] == 50
         assert results["empirical_count"] == {}
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--mode", "sparse"),
+            ("--mode", "sparse", "--strict-deterministic"),
+            ("--mode", "dense"),
+        ],
+    )
+    @pytest.mark.parametrize("gamma", ["fixed:1e-30", "fixed:1e-300"])
+    def test_pruned_branch_weight_runs_without_that_branch(
+        self, pattern_file, gamma, flags
+    ):
+        # Branch 0's amplitudes sqrt(G / p) fall under the prune threshold.
+        path = pattern_file("100\n010\n")
+        result = run_cli(
+            "distribution", "--patterns", path, "--input", "000", "--b", "2",
+            "--shots", "200", "--seed", "3", "--gamma-mode", gamma, *flags,
+        )
+        assert result.returncode == 0, result.stderr
+        results = json.loads(result.stdout)["results"]
+        assert results["successes"] + results["failed_rounds"] == 200
+
 
 class TestRetrieveCommand:
     def test_exact_match_zero_iterations(self, pattern_file):

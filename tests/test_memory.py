@@ -19,7 +19,7 @@ from mirrorqam.retrieval import GammaMode, prepare_initial
 from mirrorqam.statevector import RegisterLayout, inner_product
 
 from conftest import random_instance
-from oracles import probability_of_subspace
+from oracles import encode, probability_of_subspace
 
 
 def ps(*words):
@@ -186,8 +186,8 @@ class TestApplyClone:
             for b in SET_S_ONE:
                 for anc_val in (0, 1):
                     index = (
-                        mem.encode(a.bits)
-                        | copy_reg.encode(b.bits)
+                        encode(mem, a.bits)
+                        | encode(copy_reg, b.bits)
                         | (anc.mask if anc_val else 0)
                     )
                     assert abs(result.state.amplitude(index) - expect) < 1e-14

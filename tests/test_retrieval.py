@@ -48,6 +48,8 @@ from mirrorqam.statevector import (
 
 from conftest import random_instance
 from oracles import (
+    branch_joint_probability,
+    encode,
     mirror_branch_conditional,
     probability_of_subspace,
     quadrature_cos_power_average,
@@ -149,7 +151,7 @@ class TestDifferenceEncoding:
         lay = RegisterLayout.retrieval(2, 1)
         st = StateVector.basis_state(lay, 0b00)
         got = apply_difference_encoding(st, bp("01"))
-        assert abs(got.amplitude(lay.memory.encode((1, 0))) - 1.0) < 1e-15
+        assert abs(got.amplitude(encode(lay.memory, (1, 0))) - 1.0) < 1e-15
 
     def test_round_trip_is_exact_identity(self, rng):
         for _ in range(20):
@@ -168,7 +170,7 @@ class TestControlRotations:
             patterns = ps("0110")
             st = run_pipeline(bp("0110"), patterns, 1.0, 0.0, b)
             lay = st.layout
-            index = lay.memory.encode((0, 1, 1, 0))
+            index = encode(lay.memory, (0, 1, 1, 0))
             assert abs(st.amplitude(index) - 1.0) < 1e-12
             assert st.support_size == 1
 
@@ -176,7 +178,7 @@ class TestControlRotations:
         # n=1, b=1, stored pattern at distance 1: control becomes i|1>
         st = run_pipeline(bp("1"), ps("0"), 1.0, 0.0, 1)
         lay = st.layout
-        index = lay.memory.encode((0,)) | lay.control.mask
+        index = encode(lay.memory, (0,)) | lay.control.mask
         assert abs(st.amplitude(index) - 1j) < 1e-14
 
     def test_rotation_acts_after_encoding(self):
@@ -242,10 +244,10 @@ class TestOracleEquivalence:
                 weight = (
                     0.0 if d == n else math.cos(math.pi * d / (2 * n)) ** (2 * b)
                 )
-                index0 = mem.encode(q.bits)
+                index0 = encode(mem, q.bits)
                 got0 = probability_of_subspace(st, lambda i: i == index0)
                 assert abs(got0 - gamma * weight / p) <= 1e-10
-                index1 = mem.encode(q.mirror().bits) | ctrl.mask | anc.mask
+                index1 = encode(mem, q.mirror().bits) | ctrl.mask | anc.mask
                 got1 = probability_of_subspace(st, lambda i: i == index1)
                 assert abs(got1 - (1 - gamma) * weight / p) <= 1e-10
 
@@ -354,8 +356,8 @@ class TestAmplitudeAmplify:
     def test_exact_quarter_reaches_certainty(self):
         # Synthetic state with good mass exactly 1/4.
         lay = RegisterLayout.retrieval(1, 2)
-        good = lay.memory.encode((1,))  # controls all-0
-        bad = good | lay.control.encode((1, 0))
+        good = encode(lay.memory, (1,))  # controls all-0
+        bad = good | encode(lay.control, (1, 0))
         st = StateVector.from_amplitudes(lay, {good: 0.5, bad: math.sqrt(0.75)})
         assert good_subspace_probability(st, 0) == pytest.approx(0.25)
         amplified = amplitude_amplify(st, 0, 1)
@@ -540,6 +542,24 @@ class TestSimulateDistribution:
             report.empirical_by_branch[0], report.empirical_by_branch[1]
         ) < 0.05
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_shots_on_an_absent_branch_are_failed_rounds(self, strict):
+        # Branch 1's amplitudes sqrt(1e-30 / p) are pruned, and an rng whose
+        # draws are all 0.0 sends every shot onto it.
+        class Zeros:
+            def random(self, size=None):
+                return 0.0 if size is None else np.zeros(size)
+
+        config = RetrievalConfig(
+            b=2, gamma_mode=GammaMode.fixed(1.0, 1e-30), shots=40
+        )
+        report = simulate_distribution(
+            bp("000"), ps("100", "010"), config, rng=Zeros(), strict=strict
+        )
+        assert report.branch_shots == {0: 0, 1: 40}
+        assert report.amplification_iterations.keys() == {0}
+        assert report.failed_rounds == 40 and report.successes == 0
+
 
 def per_shot_replay(inp, patterns, config):
     """The strict replay as one measure_register call per readout.
@@ -555,9 +575,11 @@ def per_shot_replay(inp, patterns, config):
         inp, patterns, gamma, gamma_bar, config.b, config.representation
     )
     amplified = {}
-    for branch, mass in ((0, gamma), (1, gamma_bar)):
-        if mass > 0.0:
-            start = collapse_qubit(state, state.layout.ancilla.offset, branch)[1]
+    ancilla = state.layout.ancilla.offset
+    for branch in (0, 1):
+        # A branch whose amplitudes were all pruned is absent: not collapsed.
+        if probability_of_subspace(state, lambda i: (i >> ancilla) & 1 == branch):
+            start = collapse_qubit(state, ancilla, branch)[1]
             p_good = good_subspace_probability(start, branch)
             amp = config.amplification_mode
             if amp.kind == "exact":
@@ -574,6 +596,9 @@ def per_shot_replay(inp, patterns, config):
     for _ in range(config.shots):
         branch = 1 if rng.random() < gamma_bar else 0
         branch_shots[branch] += 1
+        if branch not in amplified:
+            failed += 1
+            continue
         word, collapsed = measure_register(amplified[branch], "control", rng)
         if word != str(branch) * len(word):
             failed += 1
@@ -583,7 +608,7 @@ def per_shot_replay(inp, patterns, config):
     total = counts[0] + counts[1]
     successes = sum(total.values())
     empirical = {q: c / successes for q, c in total.items()} if successes else {}
-    tv = 0.5 * sum(
+    tv = 0.5 * math.fsum(
         abs(empirical.get(q, 0.0) - analytic.conditional.get(q, 0.0))
         for q in set(analytic.conditional) | set(empirical)
     )
@@ -618,6 +643,8 @@ class TestStrictExactness:
     # One round takes P = 3/4 to ~0 good mass, all pruned: every shot fails.
     @example((("100",), "000"), 1, "memory-only", "fixed:1", 50, 3, "sparse")
     @example((("100",), "000"), 1, "memory-only", "fixed:1", 50, 3, "dense")
+    # Branch 0's amplitudes sqrt(1e-30 / p) are pruned: it is absent, not refused.
+    @example((("100", "010"), "000"), 2, "fixed:1e-30", "exact", 50, 3, "sparse")
     def test_strict_replay_equals_per_shot_readout(
         self, memory, b, gamma, amp, shots, seed, mode
     ):
@@ -634,20 +661,71 @@ class TestStrictExactness:
         try:
             expected = per_shot_replay(inp, patterns, config)
         except ValueError as exc:
-            # Infeasible cloning, no retrievable mass, or a branch weight so
-            # small that its amplitudes are pruned and its ancilla collapse
-            # has nothing to project: both paths refuse alike.
+            # Infeasible cloning or no retrievable mass: both paths refuse alike.
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 simulate_distribution(inp, patterns, config, strict=True)
             return
         report = simulate_distribution(inp, patterns, config, strict=True)
         counts, branch_shots, by_branch, failed, tv = expected
-        # Insertion order too: the TV sum runs over a set built from it.
+        # Insertion order too: strict counts keep first-draw order.
         assert list(report.empirical_counts.items()) == list(counts.items())
         assert report.branch_shots == branch_shots
         assert report.successes_by_branch == by_branch
         assert report.failed_rounds == failed
         assert report.total_variation_distance.hex() == tv.hex()
+
+
+@st.composite
+def weighted_memories(draw):
+    """(pattern words, input word, gamma mode); cloning gets a complement-closed memory."""
+    words, input_word = draw(memories())
+    gamma = draw(
+        st.sampled_from(["memory-only", "cloning"])
+        | st.floats(0.0, 1.0).map(lambda g: f"fixed:{g!r}")
+    )
+    if gamma == "cloning":
+        half = words[:4]
+        words = tuple(dict.fromkeys(half + tuple(str(bp(w).mirror()) for w in half)))
+    return words, input_word, gamma
+
+
+class TestLawProperties:
+    """The analytic law and branch equivalence on every collapsed branch."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(weighted_memories(), st.integers(1, 4), st.sampled_from(["sparse", "dense"]))
+    def test_collapsed_branches_follow_the_law(self, memory, b, mode):
+        words, input_word, gamma_mode = memory
+        patterns, inp = ps(*words), bp(input_word)
+        n, p = patterns.n, patterns.p
+        gamma, gamma_bar = resolve_gamma(GammaMode.parse(gamma_mode), patterns)
+        state = run_pipeline(inp, patterns, gamma, gamma_bar, b, mode)
+        lay = state.layout
+        anc = lay.ancilla
+        oracle = None
+        for branch, weight in ((0, gamma), (1, gamma_bar)):
+            # The prune threshold is absolute, so collapsing a branch of tiny
+            # weight renormalizes what pruning dropped (see CHANGES.md); the
+            # law is claimed where every prepared amplitude sqrt(w / p) is at
+            # least 1e-9, 1e5 times the threshold.
+            if weight < p * 1e-18:
+                continue
+            _, collapsed = collapse_qubit(state, anc.offset, branch)
+            good = lay.control.mask | anc.mask if branch else 0
+            masses = {}
+            for q in patterns:
+                index = encode(lay.memory, (q.mirror() if branch else q).bits) | good
+                masses[q] = probability_of_subspace(collapsed, lambda i: i == index)
+                law = branch_joint_probability(inp, q, n, b, 1.0) / p
+                assert abs(masses[q] - law) <= 1e-12
+            if patterns.patterns == (inp.mirror(),):
+                continue  # no retrievable mass: no conditional
+            # Keyed by the stored pattern, so branch 1 is mirror-corrected;
+            # the oracle takes the sine route through the agreement count.
+            oracle = oracle or mirror_branch_conditional(inp, patterns, b)
+            total = sum(masses.values())
+            for q in patterns:
+                assert abs(masses[q] / total - oracle[q]) <= 1e-12
 
 
 class TestComplexity:
