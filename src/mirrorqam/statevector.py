@@ -22,13 +22,13 @@ and phases run in place on reshaped views of the buffer with the
 arithmetic and pruning of the separate gates (pruning sets an amplitude
 to 0, and the output keeps the nonzero ones), so its indices and
 amplitudes equal theirs bit for bit. Amplitudes whose magnitude is at most
-PRUNE_THRESHOLD are dropped when a state is built or converted and after
-the amplitude-mixing operations (Hadamard, the control rotations and
-reflection about a state); the other operations keep the support or
-project it. A gate that keeps the support passes its input's index array
-on unchanged, so the states of one amplification run share their axis's
-index array, and the reflections and the inner product recognise that by
-identity before they compare or look up indices. Each gate computes its
+PRUNE_THRESHOLD are dropped when a sparse state is built or converted to
+sparse and after the sparse amplitude-mixing operations (Hadamard, the
+control rotations and reflection about a state); the other operations
+keep the support or project it. A gate that keeps the support passes its
+input's index array on unchanged, so the states of one amplification run
+share their axis's index array, and the reflections and the inner product
+recognise that by identity before they compare or look up indices. Each gate computes its
 output amplitudes in one array and updates it in place (the good-subspace
 reflection negates inside one copy, the reflection about a state
 subtracts the state from the scaled axis, a projection renormalizes the
@@ -49,9 +49,20 @@ amplitude-by-amplitude. Dense kernels never build a per-basis-state index
 table: each reshapes the vector so that the qubit or register it acts on
 is one axis, then reverses, swaps, combines, scales or sums along that
 axis; flip_bits reverses every axis of its mask in one copy. The distance
-phase multiplies by a table over memory words only; the control rotations
-apply those Hadamard and phase kernels qubit by qubit. Dense code shares
-no kernel with the sparse code.
+phase multiplies by a table over memory words only. The control rotations
+are one kernel: it copies the vector once, views the copy as (above,
+2**b, below) rows of control values and, for each control qubit in
+ascending order, runs the Hadamard butterfly (through one half-size
+scratch), the phase multiply and the butterfly again in place, with the
+arithmetic of the separate gates, so its output equals theirs bit for bit.
+Each qubit touches only the rows that can be nonzero: the first
+2**max(filled, k + 1) control values, where filled is the bit length of
+the largest control value whose row holds any set bit (-0.0 counts). A
+state whose controls start at 0 thus costs about two passes per step
+instead of b. Dense code shares no kernel with the sparse code, only the
+phase closed form. Dense mode never prunes: from_arrays, to_mode and every
+dense gate keep each amplitude, however small, so a branch whose
+amplitudes sparse mode drops stays in a dense state.
 
 All operations return new StateVector values; the arrays of an existing
 value are read-only and never mutated, so sharing across threads is safe.
@@ -517,25 +528,46 @@ def apply_hamming_phase(state: StateVector, control: int) -> StateVector:
         signed = np.where((idx & cmask) != 0, -zeros, zeros)
         phases = _phase_table(n)[n + signed]
         return StateVector._sparse(layout, idx, state._amps * phases)
-    # table[c, m] is the phase of memory word m under control bit value c.
-    zeros = n - np.bitwise_count(np.arange(1 << n)).astype(np.int64)
-    table = _phase_table(n)[n + np.outer((1, -1), zeros)]
-    if control > mem.offset:
-        # (above, control bit, gap, memory word, below)
-        gap = control - mem.offset - n
-        view = state._amps.reshape(-1, 2, 1 << gap, 1 << n, 1 << mem.offset)
-        phases = table[:, None, :, None]
-    else:
-        # (above, memory word, gap, control bit, below)
-        gap = mem.offset - control - 1
-        view = state._amps.reshape(-1, 1 << n, 1 << gap, 2, 1 << control)
-        phases = table.T[:, None, :, None]
+    rows = _blocks(state._amps, control_reg.offset, control_reg.width)
+    k = control - control_reg.offset
+    view, phases = _phase_axes(rows, layout, k, _word_phases(n))
     return StateVector._dense(layout, (view * phases).reshape(-1))
 
 
 def _phase_table(n: int) -> np.ndarray:
     """table[n + k] = exp(i * (pi/2n) * k) for k = -n..n, the distance phases."""
     return np.exp(1j * (math.pi / (2 * n)) * np.arange(-n, n + 1))
+
+
+def _word_phases(n: int) -> np.ndarray:
+    """table[v, m]: the distance phase of memory word m under control bit value v."""
+    zeros = n - np.bitwise_count(np.arange(1 << n)).astype(np.int64)
+    return _phase_table(n)[n + np.outer((1, -1), zeros)]
+
+
+def _phase_axes(rows: np.ndarray, layout: RegisterLayout, k: int, table: np.ndarray):
+    """Dense control rows viewed with control qubit k and the memory word as axes.
+
+    rows is (above, R, below) from _blocks over the control register, or
+    its first R control values, a multiple of 2**(k + 1). Returns that view
+    and the _word_phases table shaped to broadcast over it.
+    """
+    memory, control = layout.memory, layout.control
+    n = memory.width
+    above, count, below = rows.shape
+    pairs = count >> (k + 1)
+    if memory.offset < control.offset:
+        # (above, pairs, control bit, lower control bits and gap, memory
+        # word, below memory)
+        gap = control.offset - memory.offset - n
+        lower = (1 << k) << gap
+        view = rows.reshape(above, pairs, 2, lower, 1 << n, 1 << memory.offset)
+        return view, table[:, None, :, None]
+    # (above memory, memory word, gap, pairs, control bit, lower control
+    # bits and below)
+    gap = memory.offset - control.offset - control.width
+    view = rows.reshape(-1, 1 << n, 1 << gap, pairs, 2, below << k)
+    return view, table.T[:, None, None, :, None]
 
 
 def _hadamard_halves(live, low, high, tmp) -> None:
@@ -555,21 +587,18 @@ def apply_control_rotations(state: StateVector) -> StateVector:
     """Hadamard, distance phase, Hadamard on every control qubit, in ascending order.
 
     On a memory word with z zero bits, a control qubit that starts in |0>
-    ends in cos(pi z / 2n)|0> + i sin(pi z / 2n)|1>. Dense mode applies the
-    three gates qubit by qubit. Sparse mode is the block kernel described
-    in the module docstring; its indices and amplitudes equal those of the
-    gate sequence. Per qubit it works only on the leading block rows that
-    can be nonzero, so a block whose controls start at 0 fills as the
-    gate-by-gate support would.
+    ends in cos(pi z / 2n)|0> + i sin(pi z / 2n)|1>. Each mode runs one
+    kernel, described in the module docstring, whose output equals that
+    of the three gates applied qubit by qubit, bit for bit. Per qubit each
+    works only on the leading control values that can be nonzero: a
+    sparse block whose controls start at 0 fills as the gate-by-gate
+    support would, and a dense vector whose controls start at 0 costs
+    about two passes per step instead of b.
     """
     layout = state.layout
     control = layout.control
     if state.mode == "dense":
-        for qubit in control.bits():
-            state = apply_hadamard(state, qubit)
-            state = apply_hamming_phase(state, qubit)
-            state = apply_hadamard(state, qubit)
-        return state
+        return _dense_control_rotations(state)
     n, b = layout.n, control.width
     rows = 1 << b
     idx = state._idx
@@ -633,6 +662,40 @@ def apply_control_rotations(state: StateVector) -> StateVector:
     if keep.all():
         return StateVector._sparse(layout, out_idx, buf)
     return StateVector._sparse(layout, out_idx[keep], buf[keep])
+
+
+def _dense_butterfly(live, low, high, tmp) -> None:
+    """The dense apply_hadamard in place on the paired halves low/high of live."""
+    np.add(low, high, out=tmp)
+    np.subtract(low, high, out=high)
+    low[...] = tmp
+    live *= _SQRT_HALF
+
+
+def _dense_control_rotations(state: StateVector) -> StateVector:
+    layout = state.layout
+    control = layout.control
+    out = state._amps.copy()
+    rows = _blocks(out, control.offset, control.width)
+    # filled is the bit length of the largest control value whose row
+    # holds any set bit, -0.0 included, so every row past the live ones is
+    # +0.0, which the gate sequence keeps at +0.0: every phase has a
+    # positive real part.
+    held = np.flatnonzero(rows.view(np.uint64).any(axis=(0, 2)))
+    filled = int(held.max(initial=0)).bit_length()
+    table = _word_phases(layout.n)
+    scratch = np.empty(out.size // 2, dtype=np.complex128)
+    for k in range(control.width):
+        live = rows[:, : 1 << max(filled, k + 1)]
+        # Axis 2 of the view is control bit k.
+        halves = live.reshape(live.shape[0], -1, 2, live.shape[2] << k)
+        low, high = halves[:, :, 0], halves[:, :, 1]
+        tmp = scratch[: low.size].reshape(low.shape)
+        view, phases = _phase_axes(live, layout, k, table)
+        _dense_butterfly(live, low, high, tmp)
+        view *= phases
+        _dense_butterfly(live, low, high, tmp)
+    return StateVector._dense(layout, out)
 
 
 def collapse_qubit(

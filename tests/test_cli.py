@@ -146,6 +146,23 @@ class TestDistributionCommand:
         results = json.loads(result.stdout)["results"]
         assert results["successes"] + results["failed_rounds"] == 200
 
+    @pytest.mark.parametrize(
+        "mode, branches", [("sparse", {"1": 0}), ("dense", {"0": 0, "1": 0})]
+    )
+    def test_only_sparse_mode_prunes_a_tiny_branch(self, pattern_file, mode, branches):
+        # Sparse mode drops branch 0, whose amplitudes fall under the prune
+        # threshold; dense mode never prunes, so it keeps and amplifies that
+        # branch. A change that aligns the modes must update this on purpose.
+        path = pattern_file("100\n010\n")
+        result = run_cli(
+            "distribution", "--patterns", path, "--input", "000", "--b", "2",
+            "--shots", "200", "--seed", "3", "--gamma-mode", "fixed:1e-30",
+            "--mode", mode,
+        )
+        assert result.returncode == 0, result.stderr
+        results = json.loads(result.stdout)["results"]
+        assert results["amplification_iterations"] == branches
+
 
 class TestRetrieveCommand:
     def test_exact_match_zero_iterations(self, pattern_file):

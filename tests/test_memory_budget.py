@@ -1,10 +1,13 @@
-"""Peak traced allocation of the sparse retrieval path, per amplitude.
+"""Peak traced allocation of the retrieval path, per amplitude.
 
 tracemalloc counts every numpy buffer exactly, so these peaks are
-deterministic for a fixed instance. The budget is bytes per amplitude of
-the pipeline's output support: a sparse amplitude itself takes 24 B (an
-int64 index and a complex128 value), and the budget leaves room for the
-temporaries of one gate beside its input and output.
+deterministic for a fixed instance. The sparse budget is bytes per
+amplitude of the pipeline's output support: a sparse amplitude itself
+takes 24 B (an int64 index and a complex128 value), and the budget leaves
+room for the temporaries of one gate beside its input and output. The
+dense budget is bytes per basis state: a dense amplitude takes 16 B, and
+the budget holds a gate's input, its output and a half-size scratch,
+which leaves no room for a second full-size temporary.
 """
 
 import tracemalloc
@@ -23,19 +26,26 @@ from mirrorqam.retrieval import (
 N, P, B = 12, 256, 8
 AMPLITUDES = 2 * P << B  # both branches, every control value
 BYTES_PER_AMPLITUDE = 64
+DENSE_N, DENSE_P, DENSE_B = 10, 64, 6
+BASIS_STATES = 1 << (DENSE_N + DENSE_B + 1)  # memory, control and ancilla qubits
+DENSE_BYTES_PER_BASIS_STATE = 48
 
 
-@pytest.fixture(scope="module")
-def instance():
+def random_instance(n, p):
     """Input 0 and p random words, none equal to the input or its complement.
 
     Every stored word then rotates into all 2**b control values, so both
     branches fill the full support 2 * p * 2**b.
     """
     rng = np.random.default_rng(2024)
-    words = rng.choice(np.arange(1, (1 << N) - 1), size=P, replace=False)
-    patterns = PatternSet(tuple(BitPattern(int(w), N) for w in words))
-    return BitPattern(0, N), patterns
+    words = rng.choice(np.arange(1, (1 << n) - 1), size=p, replace=False)
+    patterns = PatternSet(tuple(BitPattern(int(w), n) for w in words))
+    return BitPattern(0, n), patterns
+
+
+@pytest.fixture(scope="module")
+def instance():
+    return random_instance(N, P)
 
 
 def traced_peak(call) -> int:
@@ -62,3 +72,13 @@ def test_distribution_peak_per_amplitude(instance):
     config = RetrievalConfig(B, GammaMode.fixed(0.5), shots=10_000, seed=1)
     peak = traced_peak(lambda: simulate_distribution(input_pattern, patterns, config))
     assert peak / AMPLITUDES <= BYTES_PER_AMPLITUDE
+
+
+def test_dense_pipeline_peak_per_basis_state():
+    input_pattern, patterns = random_instance(DENSE_N, DENSE_P)
+
+    def call():
+        return run_pipeline(input_pattern, patterns, 0.5, 0.5, DENSE_B, mode="dense")
+
+    assert call().layout.dim == BASIS_STATES
+    assert traced_peak(call) / BASIS_STATES <= DENSE_BYTES_PER_BASIS_STATE

@@ -713,22 +713,38 @@ def assert_same_bits(got, want):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def assert_rotations_match_the_gate_sequence(state):
-    expect = state
+def gate_sequence(state):
+    """Hadamard, distance phase, Hadamard on every control qubit, gate by gate."""
     for qubit in state.layout.control.bits():
-        expect = apply_hadamard(expect, qubit)
-        expect = apply_hamming_phase(expect, qubit)
-        expect = apply_hadamard(expect, qubit)
+        state = apply_hadamard(state, qubit)
+        state = apply_hamming_phase(state, qubit)
+        state = apply_hadamard(state, qubit)
+    return state
+
+
+def assert_rotations_match_the_gate_sequence(state):
+    expect = gate_sequence(state)
     got = apply_control_rotations(state)
     assert np.array_equal(got.arrays()[0], expect.arrays()[0])
     assert_same_bits(got.arrays()[1], expect.arrays()[1])
     assert got.allclose(apply_control_rotations(state.to_mode("dense")), 1e-12)
 
 
+def rotation_input(layout, seed, filled, size):
+    """Indices and normalized amplitudes of a random state whose controls are below 2**filled."""
+    control = layout.control
+    rng = np.random.default_rng(seed)
+    drawn = rng.choice(layout.dim, size=min(size, layout.dim), replace=False)
+    below = ((1 << min(filled, control.width)) - 1) << control.offset
+    idx = np.unique(drawn & (~control.mask | below))
+    amps = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
+    return idx, amps / np.linalg.norm(amps)
+
+
 class TestControlRotationKernel:
-    # The sparse kernel against the gate sequence it replaces, exactly, and
-    # against the dense gate loop. Controls start below 2**filled; 0 is the
-    # retrieval pipeline's case, larger values a general input.
+    # Each kernel against the gate sequence it replaces, exactly; the sparse
+    # one also against the dense kernel. Controls start below 2**filled; 0 is
+    # the retrieval pipeline's case, larger values a general input.
     @PROPERTY
     @given(any_order_layouts(4), seeds, st.integers(0, 4), st.integers(1, 64))
     @example(CONTROL_BELOW_MEMORY, 1, 0, 64)
@@ -737,14 +753,42 @@ class TestControlRotationKernel:
     # two amplitudes, where numpy's loops can round differently.
     @example(RegisterLayout((("memory", 4), ("ancilla", 1), ("control", 1))), 2, 0, 1)
     def test_sparse_kernel_equals_the_gate_sequence(self, layout, seed, filled, size):
-        control = layout.control
-        rng = np.random.default_rng(seed)
-        drawn = rng.choice(layout.dim, size=min(size, layout.dim), replace=False)
-        below = ((1 << min(filled, control.width)) - 1) << control.offset
-        idx = np.unique(drawn & (~control.mask | below))
-        amps = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
-        state = StateVector.from_arrays(layout, idx, amps / np.linalg.norm(amps))
-        assert_rotations_match_the_gate_sequence(state)
+        idx, amps = rotation_input(layout, seed, filled, size)
+        assert_rotations_match_the_gate_sequence(StateVector.from_arrays(layout, idx, amps))
+
+    @PROPERTY
+    @given(any_order_layouts(4), seeds, st.integers(0, 4), st.integers(1, 64))
+    @example(CONTROL_BELOW_MEMORY, 1, 0, 64)
+    @example(TWO_ABOVE_CONTROL, 5, 0, 64)
+    @example(RegisterLayout.retrieval(4, 4), 3, 0, 64)
+    def test_dense_kernel_equals_the_gate_sequence(self, layout, seed, filled, size):
+        # rng.normal never draws -0.0, so about half of the other basis
+        # states, at any control value, hold signed zeros. The kernel counts
+        # a -0.0 part as held when it picks its live rows, so the rows it
+        # skips are +0.0, which every gate of the sequence keeps at +0.0.
+        idx, amps = rotation_input(layout, seed, filled, size)
+        rng = np.random.default_rng(seed + 1)
+        signed = np.setdiff1d(rng.choice(layout.dim, size=layout.dim // 2), idx)
+        parts = rng.choice([0.0, -0.0], size=(signed.size, 2))
+        zeros = [complex(re, im) for re, im in parts]
+        state = StateVector.from_arrays(
+            layout, np.concatenate((idx, signed)), [*amps, *zeros], "dense"
+        )
+        got = apply_control_rotations(state)
+        assert_same_bits(dense_vector(got), dense_vector(gate_sequence(state)))
+
+    def test_dense_kernel_runs_rows_of_signed_zeros(self):
+        # Memory word 1 holds -0.0 under control values 0, 1 and 3. Row 3
+        # holds nothing but that -0.0, and only a row of +0.0 may be skipped:
+        # the gate sequence turns row 3's -0.0 and row 2's +0.0 into other
+        # signed zeros before the second control qubit pairs them with rows
+        # 1 and 0.
+        layout = RegisterLayout.retrieval(1, 2)
+        state = StateVector.from_arrays(
+            layout, [0b000, 0b001, 0b011, 0b111], [1.0, -0.0, -0.0, -0.0], "dense"
+        )
+        got = apply_control_rotations(state)
+        assert_same_bits(dense_vector(got), dense_vector(gate_sequence(state)))
 
     def test_prunes_where_the_gate_sequence_prunes(self):
         # The first Hadamard leaves about 7e-16 in control value 0 of memory
