@@ -28,12 +28,12 @@ control rotations and reflection about a state); the other operations
 keep the support or project it. A gate that keeps the support passes its
 input's index array on unchanged, so the states of one amplification run
 share their axis's index array, and the reflections and the inner product
-recognise that by identity before they compare or look up indices. Each gate computes its
-output amplitudes in one array and updates it in place (the good-subspace
-reflection negates inside one copy, the reflection about a state
-subtracts the state from the scaled axis, a projection renormalizes the
-amplitudes it selected) rather than combining full-size intermediate
-arrays. int64 indices limit layouts to 63 qubits.
+recognise that by identity before they compare or look up indices. Each
+gate computes its output amplitudes in one array and updates it in place
+(the good-subspace reflection negates inside one copy, the reflection
+about a state subtracts the state from the scaled axis, a projection
+renormalizes the amplitudes it selected) rather than combining full-size
+intermediate arrays. int64 indices limit layouts to 63 qubits.
 Measuring a register is register_law, one draw from it and a projection.
 The law holds the cumulative Born masses in register-value order (sparse:
 one position per support entry, stably sorted by register value; dense:
@@ -50,19 +50,14 @@ table: each reshapes the vector so that the qubit or register it acts on
 is one axis, then reverses, swaps, combines, scales or sums along that
 axis; flip_bits reverses every axis of its mask in one copy. The distance
 phase multiplies by a table over memory words only. The control rotations
-are one kernel: it copies the vector once, views the copy as (above,
-2**b, below) rows of control values and, for each control qubit in
-ascending order, runs the Hadamard butterfly (through one half-size
-scratch), the phase multiply and the butterfly again in place, with the
+are one kernel: it copies the vector once and, for each control qubit,
+runs the Hadamard butterfly, the phase multiply and the butterfly again in
+place on the rows of control values that can be nonzero, with the
 arithmetic of the separate gates, so its output equals theirs bit for bit.
-Each qubit touches only the rows that can be nonzero: the first
-2**max(filled, k + 1) control values, where filled is the bit length of
-the largest control value whose row holds any set bit (-0.0 counts). A
-state whose controls start at 0 thus costs about two passes per step
-instead of b. Dense code shares no kernel with the sparse code, only the
-phase closed form. Dense mode never prunes: from_arrays, to_mode and every
-dense gate keep each amplitude, however small, so a branch whose
-amplitudes sparse mode drops stays in a dense state.
+Dense code shares no kernel with the sparse code, only the phase closed
+form. Dense mode never prunes: building, converting and every dense gate
+keep each amplitude, however small, so a branch whose amplitudes sparse
+mode drops stays in a dense state.
 
 All operations return new StateVector values; the arrays of an existing
 value are read-only and never mutated, so sharing across threads is safe.
@@ -677,10 +672,11 @@ def _dense_control_rotations(state: StateVector) -> StateVector:
     control = layout.control
     out = state._amps.copy()
     rows = _blocks(out, control.offset, control.width)
-    # filled is the bit length of the largest control value whose row
-    # holds any set bit, -0.0 included, so every row past the live ones is
-    # +0.0, which the gate sequence keeps at +0.0: every phase has a
-    # positive real part.
+    # Qubit k touches the first 2**max(filled, k + 1) rows, the live ones.
+    # filled is the bit length of the largest control value whose row holds
+    # any set bit, -0.0 included, so every row past the live ones is +0.0,
+    # which the gate sequence keeps at +0.0: every phase has a positive real
+    # part.
     held = np.flatnonzero(rows.view(np.uint64).any(axis=(0, 2)))
     filled = int(held.max(initial=0)).bit_length()
     table = _word_phases(layout.n)

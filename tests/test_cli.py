@@ -151,7 +151,7 @@ class TestDistributionCommand:
     )
     def test_only_sparse_mode_prunes_a_tiny_branch(self, pattern_file, mode, branches):
         # Sparse mode drops branch 0, whose amplitudes fall under the prune
-        # threshold; dense mode never prunes, so it keeps and amplifies that
+        # threshold; dense mode never prunes, so it keeps and collapses that
         # branch. A change that aligns the modes must update this on purpose.
         path = pattern_file("100\n010\n")
         result = run_cli(

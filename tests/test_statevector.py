@@ -731,7 +731,7 @@ def assert_rotations_match_the_gate_sequence(state):
 
 
 def rotation_input(layout, seed, filled, size):
-    """Indices and normalized amplitudes of a random state whose controls are below 2**filled."""
+    """Indices and normalized amplitudes of a random state, controls below 2**filled."""
     control = layout.control
     rng = np.random.default_rng(seed)
     drawn = rng.choice(layout.dim, size=min(size, layout.dim), replace=False)
@@ -778,11 +778,11 @@ class TestControlRotationKernel:
         assert_same_bits(dense_vector(got), dense_vector(gate_sequence(state)))
 
     def test_dense_kernel_runs_rows_of_signed_zeros(self):
-        # Memory word 1 holds -0.0 under control values 0, 1 and 3. Row 3
-        # holds nothing but that -0.0, and only a row of +0.0 may be skipped:
-        # the gate sequence turns row 3's -0.0 and row 2's +0.0 into other
-        # signed zeros before the second control qubit pairs them with rows
-        # 1 and 0.
+        # Memory word 1 holds -0.0 under control values 0, 1 and 3; row 3
+        # holds nothing else. The gate sequence's first Hadamard pairs row 3
+        # with row 2 and turns its -0.0 into +0.0, which the second control
+        # qubit then adds to row 1's -0.0: -0.0 + +0.0 is +0.0, but -0.0 +
+        # -0.0 is -0.0. So only a row of +0.0 may be skipped.
         layout = RegisterLayout.retrieval(1, 2)
         state = StateVector.from_arrays(
             layout, [0b000, 0b001, 0b011, 0b111], [1.0, -0.0, -0.0, -0.0], "dense"
