@@ -57,7 +57,12 @@ arithmetic of the separate gates, so its output equals theirs bit for bit.
 Dense code shares no kernel with the sparse code, only the phase closed
 form. Dense mode never prunes: building, converting and every dense gate
 keep each amplitude, however small, so a branch whose amplitudes sparse
-mode drops stays in a dense state.
+mode drops stays in a dense state. Dense inner products and masses sum
+np.vdot over consecutive blocks of 8192 amplitudes: OpenBLAS splits a
+longer dot product across its worker threads, which then spin between
+calls, so a dense run would keep a second core busy, its speed would
+follow that core's load, and the sum would depend on the host's thread
+count. A vector of at most 8192 amplitudes is one np.vdot call.
 
 All operations return new StateVector values; the arrays of an existing
 value are read-only and never mutated, so sharing across threads is safe.
@@ -87,6 +92,9 @@ MAX_AMPLITUDES = 1 << _MAX_DENSE_QUBITS
 _MAX_QUBITS = 63  # basis indices are int64
 
 _SQRT_HALF = math.sqrt(0.5)
+# The largest power of two that OpenBLAS's dot product keeps on the
+# calling thread (it splits products of more than 10 000 elements).
+_DOT_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -395,6 +403,17 @@ def _dense_subspace(amps: np.ndarray, mask: int, value: int) -> np.ndarray:
             f" got value {value:#x} under mask {mask:#x}"
         )
     return _blocks(amps, offset, width)[:, value >> offset, :]
+
+
+def _dense_vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """<a|b> of equal-shape dense arrays: np.vdot summed over _DOT_BLOCK blocks."""
+    a, b = a.reshape(-1), b.reshape(-1)
+    if a.size <= _DOT_BLOCK:
+        return complex(np.vdot(a, b))
+    return sum(
+        complex(np.vdot(a[i : i + _DOT_BLOCK], b[i : i + _DOT_BLOCK]))
+        for i in range(0, a.size, _DOT_BLOCK)
+    )
 
 
 def _lookup(idx: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -722,7 +741,7 @@ def _project(
         kept /= math.sqrt(probability)
         return probability, StateVector._sparse(state.layout, state._idx[keep], kept)
     kept = _dense_subspace(state._amps, select_mask, select_value)
-    probability = float(np.vdot(kept, kept).real)
+    probability = _dense_vdot(kept, kept).real
     if probability <= 0.0:
         raise ValueError("projection onto a zero-probability subspace")
     out = np.zeros_like(state._amps)
@@ -737,7 +756,7 @@ def subspace_mass(state: StateVector, select_mask: int, select_value: int) -> fl
     """
     if state.mode == "dense":
         kept = _dense_subspace(state._amps, select_mask, select_value)
-        return float(np.vdot(kept, kept).real)
+        return _dense_vdot(kept, kept).real
     idx, amps = state.arrays()
     kept = amps[(idx & select_mask) == select_value]
     return float(np.vdot(kept, kept).real)
@@ -880,7 +899,7 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
     if a.layout != b.layout:
         raise DimensionError("layout mismatch in inner product")
     if a.mode == "dense" and b.mode == "dense":
-        return complex(np.vdot(a._amps, b._amps))
+        return _dense_vdot(a._amps, b._amps)
     (ia, aa), (ib, ab) = a.arrays(), b.arrays()
     if ia.size <= ib.size:
         return complex(np.vdot(aa, _gather(ib, ab, ia)))

@@ -362,6 +362,23 @@ class TestInnerProduct:
     def test_mixed_modes(self):
         assert inner_product(bell("sparse"), bell("dense")) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n", [13, 15])
+    def test_dense_sums_agree_with_one_vdot(self, n):
+        # Dense inner products and masses sum np.vdot over blocks of 8192
+        # amplitudes, so OpenBLAS never splits them across threads. Up to
+        # one block (n=13) that is a single np.vdot, bit for bit; over four
+        # blocks (n=15) the blockwise sum agrees to rounding.
+        lay = RegisterLayout.memory_only(n)
+        a, b = (random_state(lay, seed, "dense", size=lay.dim) for seed in (3, 4))
+        va, vb = a.arrays()[1], b.arrays()[1]
+        top = 1 << (n - 1)
+        want = np.vdot(va, vb), np.vdot(va[top:], va[top:]).real
+        got = inner_product(a, b), subspace_mass(a, top, top)
+        if n == 13:
+            assert got == want
+        else:
+            assert got == pytest.approx(want, abs=1e-13)
+
 
 def _random_op(state, rng):
     lay = state.layout
