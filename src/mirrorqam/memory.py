@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SingularOverlapError
 from .patterns import PatternSet, check_width, mirror_set
-from .statevector import NORM_TOLERANCE, RegisterLayout, StateVector
+from .statevector import NORM_TOLERANCE, RegisterLayout, StateVector, _vdot
 
 GRAM_TOLERANCE = 1e-10
 
@@ -227,7 +227,7 @@ def apply_clone(
         | (np.stack(copies)[:, None, :] << copy_reg.offset)
     )
     amps = np.repeat(np.sqrt(weights) / patterns.p, patterns.p**2)
-    norm = math.sqrt(float(np.vdot(amps, amps).real))
+    norm = math.sqrt(_vdot(amps, amps).real)
     if abs(norm - 1.0) > NORM_TOLERANCE:
         raise ValueError(
             f"cloning construction has norm {norm!r}; refusing to renormalize"

@@ -257,7 +257,8 @@ def prepare_initial(
     p = patterns.p
     words = np.array([q.value for q in patterns], dtype=np.int64) << mem.offset
     mirrored = (words ^ mem.mask) | (1 << anc.offset)
-    # A zero branch weight gives zero amplitudes, which the constructor drops.
+    # A branch weight that is 0, or rounds to 0 over p, gives zero amplitudes:
+    # that branch is absent in either mode.
     amplitudes = np.repeat([math.sqrt(gamma / p), math.sqrt(gamma_bar / p)], p)
     return StateVector.from_arrays(
         layout, np.concatenate((words, mirrored)), amplitudes, mode=mode
@@ -534,8 +535,8 @@ def simulate_distribution(
 
     The pipeline and the per-branch amplification are deterministic, so
     both paths compute each branch's post-amplification state once. A
-    branch absent from the pipeline state (its weight is zero, or so small
-    that its amplitudes were pruned) is not collapsed, and a shot drawn
+    branch absent from the pipeline state (its prepared amplitudes
+    sqrt(weight / p) are exactly 0) is not collapsed, and a shot drawn
     onto it is a failed round. The default path draws all outcomes in
     bulk. strict mode replays retrieve's readout shot by shot, with the
     same rng order (branch, control, then memory after a good control
@@ -578,8 +579,8 @@ def simulate_distribution(
     if strict:
         # The rng order of _read_out per shot: branch, control, and memory
         # only after a good control outcome. Each branch's laws are built
-        # once; the memory law on the first good draw, so a branch whose
-        # good amplitudes were all pruned never projects onto them.
+        # once; the memory law on the first good draw, so a branch that
+        # holds no good amplitude never projects onto one.
         good = {branch: _good_control(control, branch) for branch in (0, 1)}
         control_law = {
             branch: register_law(amplified, control).as_lists()

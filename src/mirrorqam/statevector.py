@@ -7,33 +7,24 @@ the leftmost character of a pattern string.
 
 Two storage modes exist. Sparse mode (default) holds a state as two aligned
 arrays: the sorted, duplicate-free int64 basis indices of its support and
-their complex128 amplitudes. Every gate is array arithmetic over the whole
-support: flip_bits (NOT on every qubit of a mask at once) and XOR rewrite
-indices and re-sort, the distance phase is a masked popcount, the Hadamard
-pairs each index with its partner, and projection and measurement select
-by index masks. The control rotations (Hadamard, distance phase, Hadamard
-on each control qubit) are one kernel. It splits the support into groups
-of equal bits above the control register and gives each group a
-(2**b, largest group size) block, indexed by control value and then by
-the bits below, with zero columns padding the smaller groups; the blocks
-lie back to back in one buffer, which is therefore already in basis-index
-order and becomes the output without a sort. Every qubit's butterflies
-and phases run in place on reshaped views of the buffer with the
-arithmetic and pruning of the separate gates (pruning sets an amplitude
-to 0, and the output keeps the nonzero ones), so its indices and
-amplitudes equal theirs bit for bit. Amplitudes whose magnitude is at most
-PRUNE_THRESHOLD are dropped when a sparse state is built or converted to
-sparse and after the sparse amplitude-mixing operations (Hadamard, the
-control rotations and reflection about a state); the other operations
-keep the support or project it. A gate that keeps the support passes its
-input's index array on unchanged, so the states of one amplification run
-share their axis's index array, and the reflections and the inner product
-recognise that by identity before they compare or look up indices. Each
-gate computes its output amplitudes in one array and updates it in place
-(the good-subspace reflection negates inside one copy, the reflection
-about a state subtracts the state from the scaled axis, a projection
-renormalizes the amplitudes it selected) rather than combining full-size
-intermediate arrays. int64 indices limit layouts to 63 qubits.
+their complex128 amplitudes. The support is exactly the nonzero amplitudes,
+the entries that a dense state's arrays() reports: building or converting
+a sparse state, and the sparse amplitude-mixing operations (Hadamard, the
+control rotations and reflection about a state), drop amplitudes that are
+exactly 0 and keep every other one, however small. So a branch is absent
+only when its amplitudes are exactly 0, in either mode. Every gate is array
+arithmetic over the whole support: flip_bits (NOT on every qubit of a mask
+at once) and XOR rewrite indices and re-sort, the distance phase is a
+masked popcount, the Hadamard pairs each index with its partner, and
+projection and measurement select by index masks. A gate that keeps the
+support passes its input's index array on unchanged, so the states of one
+amplification run share their axis's index array, and the reflections and
+the inner product recognise that by identity before they compare or look
+up indices. Each gate computes its output amplitudes in one array and
+updates it in place (the good-subspace reflection negates inside one copy,
+the reflection about a state subtracts the state from the scaled axis, a
+projection renormalizes the amplitudes it selected) rather than combining
+full-size intermediate arrays. int64 indices limit layouts to 63 qubits.
 Measuring a register is register_law, one draw from it and a projection.
 The law holds the cumulative Born masses in register-value order (sparse:
 one position per support entry, stably sorted by register value; dense:
@@ -49,20 +40,30 @@ amplitude-by-amplitude. Dense kernels never build a per-basis-state index
 table: each reshapes the vector so that the qubit or register it acts on
 is one axis, then reverses, swaps, combines, scales or sums along that
 axis; flip_bits reverses every axis of its mask in one copy. The distance
-phase multiplies by a table over memory words only. The control rotations
-are one kernel: it copies the vector once and, for each control qubit,
-runs the Hadamard butterfly, the phase multiply and the butterfly again in
-place on the rows of control values that can be nonzero, with the
-arithmetic of the separate gates, so its output equals theirs bit for bit.
-Dense code shares no kernel with the sparse code, only the phase closed
-form. Dense mode never prunes: building, converting and every dense gate
-keep each amplitude, however small, so a branch whose amplitudes sparse
-mode drops stays in a dense state. Dense inner products and masses sum
-np.vdot over consecutive blocks of 8192 amplitudes: OpenBLAS splits a
-longer dot product across its worker threads, which then spin between
-calls, so a dense run would keep a second core busy, its speed would
-follow that core's load, and the sum would depend on the host's thread
-count. A vector of at most 8192 amplitudes is one np.vdot call.
+phase multiplies by a table over memory words only.
+The control rotations (Hadamard, distance phase, Hadamard on each control
+qubit) are the one kernel the modes share: a loop that runs, for each
+control qubit, the Hadamard butterfly, the phase multiply and the
+butterfly again in place on an (above, 2**b, below) view of rows of
+control values, touching only the rows that can be nonzero. Each mode
+builds its own rows and passes in its own phase multiply. Dense: a copy
+of the vector, viewed through _blocks. Sparse: the support split into
+groups of equal bits above the control register, each group a
+(2**b, largest group size) block indexed by control value and then by the
+bits below, with zero columns padding the smaller groups; the blocks lie
+back to back in one buffer, which is therefore already in basis-index
+order and becomes the output, without its zeros, without a sort. The
+loop does the arithmetic of the separate gates, so each mode's kernel
+output equals that mode's own gate sequence bit for bit; the tests judge
+each kernel against that sequence, whose per-qubit gates are written
+apart from the loop and per mode. Beyond that loop and the blocked sum
+below, dense code shares no kernel with the sparse code, only the phase
+closed form. Inner products and masses in both modes sum np.vdot over
+consecutive blocks of 8192 amplitudes: OpenBLAS splits a longer dot
+product across its worker threads, which then spin between calls, so a
+run would keep a second core busy, its speed would follow that core's
+load, and the sum would depend on the host's thread count. A vector of at
+most 8192 amplitudes is one np.vdot call.
 
 All operations return new StateVector values; the arrays of an existing
 value are read-only and never mutated, so sharing across threads is safe.
@@ -83,7 +84,6 @@ import numpy as np
 from .errors import DimensionError
 from .patterns import BitPattern
 
-PRUNE_THRESHOLD = 1e-14
 NORM_TOLERANCE = 1e-10
 _MAX_DENSE_QUBITS = 24
 # The dense cap's amplitude count; a retrieval run checks its support bound
@@ -286,7 +286,7 @@ class StateVector:
             raise IndexError(
                 f"basis index out of range for a {layout.total_qubits}-qubit layout"
             )
-        norm_sq = float(np.vdot(amps, amps).real)
+        norm_sq = _vdot(amps, amps).real
         if not abs(norm_sq - 1.0) <= NORM_TOLERANCE:  # a NaN norm fails too
             raise ValueError(f"amplitudes are not normalized: |psi|^2 = {norm_sq!r}")
         idx = idx.astype(np.int64)
@@ -295,7 +295,7 @@ class StateVector:
         if np.any(idx[1:] == idx[:-1]):
             raise ValueError("basis indices must be distinct")
         if mode == "sparse":
-            return _pruned(layout, idx, amps)
+            return _nonzero(layout, idx, amps)
         _check_dense_size(layout)
         arr = np.zeros(layout.dim, dtype=np.complex128)
         arr[idx] = amps
@@ -339,8 +339,7 @@ class StateVector:
             arr[self._idx] = self._amps
             return StateVector._dense(self.layout, arr)
         if mode == "sparse":
-            kept = np.flatnonzero(np.abs(self._amps) > PRUNE_THRESHOLD)
-            return StateVector._sparse(self.layout, kept, self._amps[kept])
+            return StateVector._sparse(self.layout, *self.arrays())
         raise ValueError(f"unknown mode {mode!r}")
 
     def as_dict(self) -> dict[int, complex]:
@@ -405,8 +404,8 @@ def _dense_subspace(amps: np.ndarray, mask: int, value: int) -> np.ndarray:
     return _blocks(amps, offset, width)[:, value >> offset, :]
 
 
-def _dense_vdot(a: np.ndarray, b: np.ndarray) -> complex:
-    """<a|b> of equal-shape dense arrays: np.vdot summed over _DOT_BLOCK blocks."""
+def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """<a|b> of equal-shape arrays: np.vdot summed over _DOT_BLOCK blocks."""
     a, b = a.reshape(-1), b.reshape(-1)
     if a.size <= _DOT_BLOCK:
         return complex(np.vdot(a, b))
@@ -434,9 +433,9 @@ def _gather(idx: np.ndarray, amps: np.ndarray, query: np.ndarray) -> np.ndarray:
     return np.where(hit, amps[pos], 0j)
 
 
-def _pruned(layout: RegisterLayout, idx: np.ndarray, amps: np.ndarray) -> StateVector:
-    """Sparse state on sorted indices, without amplitudes of at most PRUNE_THRESHOLD."""
-    keep = np.abs(amps) > PRUNE_THRESHOLD
+def _nonzero(layout: RegisterLayout, idx: np.ndarray, amps: np.ndarray) -> StateVector:
+    """Sparse state on sorted indices, without the amplitudes that are exactly 0."""
+    keep = amps != 0
     if keep.all():
         return StateVector._sparse(layout, idx, amps)
     return StateVector._sparse(layout, idx[keep], amps[keep])
@@ -509,7 +508,7 @@ def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
         new_idx = np.concatenate((bases, bases | mask))
         new_amps = np.concatenate(((a0 + a1) * _SQRT_HALF, (a0 - a1) * _SQRT_HALF))
         order = np.argsort(new_idx, kind="stable")
-        return _pruned(state.layout, new_idx[order], new_amps[order])
+        return _nonzero(state.layout, new_idx[order], new_amps[order])
     src = _blocks(state._amps, qubit, 1)
     out = np.empty_like(state._amps)
     pair = _blocks(out, qubit, 1)
@@ -584,26 +583,55 @@ def _phase_axes(rows: np.ndarray, layout: RegisterLayout, k: int, table: np.ndar
     return view, table.T[:, None, None, :, None]
 
 
-def _hadamard_halves(live, low, high, tmp) -> None:
-    """Hadamard in place on the paired halves low/high of live, then prune live.
-
-    The arithmetic and the pruning are those of the sparse apply_hadamard,
-    with amplitudes at most PRUNE_THRESHOLD set to 0 instead of dropped.
-    """
+def _butterfly(live, low, high, tmp) -> None:
+    """apply_hadamard's arithmetic in place on the paired halves low/high of live."""
     np.add(low, high, out=tmp)
     np.subtract(low, high, out=high)
     low[...] = tmp
     live *= _SQRT_HALF
-    live[np.abs(live) <= PRUNE_THRESHOLD] = 0
+
+
+def _rotate_rows(rows: np.ndarray, filled: int, multiply_phases) -> None:
+    """Hadamard, distance phase, Hadamard on each control qubit, in place.
+
+    rows is (above, 2**b, below), indexed by control value on its middle
+    axis, and holds +0.0 at every control value of bit length above
+    filled. multiply_phases(live, k) multiplies the leading rows live by
+    control qubit k's phases in place.
+    """
+    above, count, below = rows.shape
+    scratch = np.empty(rows.size // 2, dtype=np.complex128)
+    for k in range(count.bit_length() - 1):
+        # Qubit k touches the first 2**max(filled, k + 1) rows, the live
+        # ones. The gate sequence keeps the rows past them at +0.0: every
+        # phase has a positive real part.
+        live = rows[:, : 1 << max(filled, k + 1)]
+        # Axis 2 of the view is control bit k.
+        halves = live.reshape(above, -1, 2, below << k)
+        low, high = halves[:, :, 0], halves[:, :, 1]
+        tmp = scratch[: low.size].reshape(low.shape)
+        if k >= filled:
+            # The rows with bit k set are still +0.0, so the Hadamard's
+            # difference is the lower half and its sum is the lower half
+            # plus +0.0, which differs only where a part is -0.0: adding 0.0
+            # after the scaling turns those into +0.0, as the sum does. Both
+            # steps write through out=; an assignment between the two halves
+            # would copy through a full-size temporary.
+            np.multiply(low, _SQRT_HALF, out=high)
+            np.add(high, 0.0, out=low)
+        else:
+            _butterfly(live, low, high, tmp)
+        multiply_phases(live, k)
+        _butterfly(live, low, high, tmp)
 
 
 def apply_control_rotations(state: StateVector) -> StateVector:
     """Hadamard, distance phase, Hadamard on every control qubit, in ascending order.
 
     On a memory word with z zero bits, a control qubit that starts in |0>
-    ends in cos(pi z / 2n)|0> + i sin(pi z / 2n)|1>. Each mode runs one
+    ends in cos(pi z / 2n)|0> + i sin(pi z / 2n)|1>. Both modes run one
     kernel, described in the module docstring, whose output equals that
-    of the three gates applied qubit by qubit, bit for bit. Per qubit each
+    of the three gates applied qubit by qubit, bit for bit. Per qubit it
     works only on the leading control values that can be nonzero: a
     sparse block whose controls start at 0 fills as the gate-by-gate
     support would, and a dense vector whose controls start at 0 costs
@@ -640,50 +668,20 @@ def apply_control_rotations(state: StateVector) -> StateVector:
     # phases[g, 0, v, 0, j]: the phase of column j of group g under control
     # bit value v.
     phases = np.stack((table[n + zeros], table[n - zeros]), axis=1)[:, None, :, None]
-    filled = int(c.max()).bit_length()
-    scratch = np.empty(buf.size // 2, dtype=np.complex128)
-    for k in range(b):
-        live = buf[:, : 1 << max(filled, k + 1)]
-        # Axis 2 of the view is control bit k.
-        halves = live.reshape(shape[0], -1, 2, 1 << k, shape[2])
-        low, high = halves[:, :, 0], halves[:, :, 1]
-        tmp = scratch[: low.size].reshape(low.shape)
-        if k >= filled:
-            # The rows with bit k set are still +0, so the Hadamard's
-            # difference is the lower half and its sum is the lower half
-            # plus +0, which differs only where a part is -0.0: adding 0.0
-            # after the scaling turns those into +0.0, as the sum does.
-            low *= _SQRT_HALF
-            low[np.abs(low) <= PRUNE_THRESHOLD] = 0
-            high[...] = low
-            low += 0.0
-        else:
-            _hadamard_halves(live, low, high, tmp)
+
+    def multiply_phases(live, k):
         # One multiply over both halves, never a one-element product: numpy
         # can send that through a scalar loop that rounds differently from
         # the vector loop apply_hamming_phase runs.
-        halves *= phases
-        _hadamard_halves(live, low, high, tmp)
-    del scratch
+        view = live.reshape(shape[0], -1, 2, 1 << k, shape[2])
+        view *= phases
+
+    _rotate_rows(buf, int(c.max()).bit_length(), multiply_phases)
     out_idx = np.empty(shape, dtype=np.int64)
     shifts = (np.arange(rows, dtype=np.int64) << control.offset)[:, None]
     np.bitwise_or(words[:, None, :], shifts, out=out_idx)
-    # The rotations zeroed every amplitude of magnitude at most
-    # PRUNE_THRESHOLD, and the padding is 0, so the nonzero amplitudes are
-    # the ones to keep.
-    buf, out_idx = buf.reshape(-1), out_idx.reshape(-1)
-    keep = buf != 0
-    if keep.all():
-        return StateVector._sparse(layout, out_idx, buf)
-    return StateVector._sparse(layout, out_idx[keep], buf[keep])
-
-
-def _dense_butterfly(live, low, high, tmp) -> None:
-    """The dense apply_hadamard in place on the paired halves low/high of live."""
-    np.add(low, high, out=tmp)
-    np.subtract(low, high, out=high)
-    low[...] = tmp
-    live *= _SQRT_HALF
+    # The padding is 0, and so is every amplitude the gate sequence drops.
+    return _nonzero(layout, out_idx.reshape(-1), buf.reshape(-1))
 
 
 def _dense_control_rotations(state: StateVector) -> StateVector:
@@ -691,25 +689,17 @@ def _dense_control_rotations(state: StateVector) -> StateVector:
     control = layout.control
     out = state._amps.copy()
     rows = _blocks(out, control.offset, control.width)
-    # Qubit k touches the first 2**max(filled, k + 1) rows, the live ones.
     # filled is the bit length of the largest control value whose row holds
-    # any set bit, -0.0 included, so every row past the live ones is +0.0,
-    # which the gate sequence keeps at +0.0: every phase has a positive real
-    # part.
+    # any set bit, -0.0 included, so every row past it is +0.0.
     held = np.flatnonzero(rows.view(np.uint64).any(axis=(0, 2)))
     filled = int(held.max(initial=0)).bit_length()
     table = _word_phases(layout.n)
-    scratch = np.empty(out.size // 2, dtype=np.complex128)
-    for k in range(control.width):
-        live = rows[:, : 1 << max(filled, k + 1)]
-        # Axis 2 of the view is control bit k.
-        halves = live.reshape(live.shape[0], -1, 2, live.shape[2] << k)
-        low, high = halves[:, :, 0], halves[:, :, 1]
-        tmp = scratch[: low.size].reshape(low.shape)
+
+    def multiply_phases(live, k):
         view, phases = _phase_axes(live, layout, k, table)
-        _dense_butterfly(live, low, high, tmp)
         view *= phases
-        _dense_butterfly(live, low, high, tmp)
+
+    _rotate_rows(rows, filled, multiply_phases)
     return StateVector._dense(layout, out)
 
 
@@ -735,13 +725,13 @@ def _project(
     if state.mode == "sparse":
         keep = (state._idx & select_mask) == select_value
         kept = state._amps[keep]  # a copy, renormalized in place
-        probability = float(np.vdot(kept, kept).real)
+        probability = _vdot(kept, kept).real
         if probability <= 0.0:
             raise ValueError("projection onto a zero-probability subspace")
         kept /= math.sqrt(probability)
         return probability, StateVector._sparse(state.layout, state._idx[keep], kept)
     kept = _dense_subspace(state._amps, select_mask, select_value)
-    probability = _dense_vdot(kept, kept).real
+    probability = _vdot(kept, kept).real
     if probability <= 0.0:
         raise ValueError("projection onto a zero-probability subspace")
     out = np.zeros_like(state._amps)
@@ -756,10 +746,10 @@ def subspace_mass(state: StateVector, select_mask: int, select_value: int) -> fl
     """
     if state.mode == "dense":
         kept = _dense_subspace(state._amps, select_mask, select_value)
-        return _dense_vdot(kept, kept).real
+        return _vdot(kept, kept).real
     idx, amps = state.arrays()
     kept = amps[(idx & select_mask) == select_value]
-    return float(np.vdot(kept, kept).real)
+    return _vdot(kept, kept).real
 
 
 def measure_qubit(state: StateVector, qubit: int, rng) -> tuple[int, StateVector]:
@@ -872,11 +862,11 @@ def reflect_about_state(state: StateVector, axis: StateVector) -> StateVector:
         or _lookup(support, state._idx)[1].all()
     ):
         # The state reaches outside the axis support (amplification never
-        # does: pruning only shrinks the support), so merge the two.
+        # does: each round keeps part of the axis support), so merge the two.
         support = np.union1d(support, state._idx)
     amps = np.multiply(coeff, _gather(axis._idx, axis._amps, support))
     amps -= _gather(state._idx, state._amps, support)
-    return _pruned(state.layout, support, amps)
+    return _nonzero(state.layout, support, amps)
 
 
 def reflect_good_subspace(state: StateVector, branch: int) -> StateVector:
@@ -899,8 +889,8 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
     if a.layout != b.layout:
         raise DimensionError("layout mismatch in inner product")
     if a.mode == "dense" and b.mode == "dense":
-        return _dense_vdot(a._amps, b._amps)
+        return _vdot(a._amps, b._amps)
     (ia, aa), (ib, ab) = a.arrays(), b.arrays()
     if ia.size <= ib.size:
-        return complex(np.vdot(aa, _gather(ib, ab, ia)))
-    return complex(np.vdot(_gather(ia, aa, ib), ab))
+        return _vdot(aa, _gather(ib, ab, ia))
+    return _vdot(_gather(ia, aa, ib), ab)

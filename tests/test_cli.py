@@ -111,7 +111,7 @@ class TestDistributionCommand:
     @pytest.mark.parametrize("mode", ["sparse", "dense"])
     def test_strict_replay_with_no_good_mass_fails_every_shot(self, pattern_file, mode):
         # P = cos^2(pi/6) = 3/4, so one round leaves sin^2(pi) ~ 0 good mass,
-        # all of it pruned: no control draw is good and nothing is projected.
+        # at rounding level: no control draw is good and nothing is projected.
         path = pattern_file("100\n")
         result = run_cli(
             "distribution", "--patterns", path, "--input", "000", "--b", "1",
@@ -133,10 +133,9 @@ class TestDistributionCommand:
         ],
     )
     @pytest.mark.parametrize("gamma", ["fixed:1e-30", "fixed:1e-300"])
-    def test_pruned_branch_weight_runs_without_that_branch(
-        self, pattern_file, gamma, flags
-    ):
-        # Branch 0's amplitudes sqrt(G / p) fall under the prune threshold.
+    def test_tiny_branch_weight_keeps_that_branch(self, pattern_file, gamma, flags):
+        # Branch 0's amplitudes sqrt(G / p) are tiny but not 0, so the state
+        # holds both branches.
         path = pattern_file("100\n010\n")
         result = run_cli(
             "distribution", "--patterns", path, "--input", "000", "--b", "2",
@@ -144,20 +143,22 @@ class TestDistributionCommand:
         )
         assert result.returncode == 0, result.stderr
         results = json.loads(result.stdout)["results"]
+        assert results["amplification_iterations"].keys() == {"0", "1"}
         assert results["successes"] + results["failed_rounds"] == 200
 
+    @pytest.mark.parametrize("mode", ["sparse", "dense"])
     @pytest.mark.parametrize(
-        "mode, branches", [("sparse", {"1": 0}), ("dense", {"0": 0, "1": 0})]
+        "gamma, branches",
+        # sqrt(5e-324 / 2) rounds to 0, so branch 0 is absent in both modes.
+        [("fixed:1e-30", {"0": 0, "1": 0}), ("fixed:5e-324", {"1": 0})],
     )
-    def test_only_sparse_mode_prunes_a_tiny_branch(self, pattern_file, mode, branches):
-        # Sparse mode drops branch 0, whose amplitudes fall under the prune
-        # threshold; dense mode never prunes, so it keeps and collapses that
-        # branch. A change that aligns the modes must update this on purpose.
+    def test_modes_agree_on_which_branches_exist(
+        self, pattern_file, gamma, branches, mode
+    ):
         path = pattern_file("100\n010\n")
         result = run_cli(
             "distribution", "--patterns", path, "--input", "000", "--b", "2",
-            "--shots", "200", "--seed", "3", "--gamma-mode", "fixed:1e-30",
-            "--mode", mode,
+            "--shots", "200", "--seed", "3", "--gamma-mode", gamma, "--mode", mode,
         )
         assert result.returncode == 0, result.stderr
         results = json.loads(result.stdout)["results"]

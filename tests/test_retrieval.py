@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -542,16 +543,21 @@ class TestSimulateDistribution:
             report.empirical_by_branch[0], report.empirical_by_branch[1]
         ) < 0.05
 
+    @pytest.mark.parametrize("mode", ["sparse", "dense"])
     @pytest.mark.parametrize("strict", [False, True])
-    def test_shots_on_an_absent_branch_are_failed_rounds(self, strict):
-        # Branch 1's amplitudes sqrt(1e-30 / p) are pruned, and an rng whose
-        # draws are all 0.0 sends every shot onto it.
+    def test_shots_on_an_absent_branch_are_failed_rounds(self, strict, mode):
+        # Branch 1's amplitudes sqrt(5e-324 / 2) round to 0, and an rng whose
+        # draws are all 0.0 sends every shot onto it. (A weight of exactly 0
+        # would send none: u < 0.0 is never true.)
         class Zeros:
             def random(self, size=None):
                 return 0.0 if size is None else np.zeros(size)
 
         config = RetrievalConfig(
-            b=2, gamma_mode=GammaMode.fixed(1.0, 1e-30), shots=40
+            b=2,
+            gamma_mode=GammaMode.fixed(1.0, 5e-324),
+            shots=40,
+            representation=mode,
         )
         report = simulate_distribution(
             bp("000"), ps("100", "010"), config, rng=Zeros(), strict=strict
@@ -577,7 +583,7 @@ def per_shot_replay(inp, patterns, config):
     amplified = {}
     ancilla = state.layout.ancilla.offset
     for branch in (0, 1):
-        # A branch whose amplitudes were all pruned is absent: not collapsed.
+        # A branch whose amplitudes are all 0 is absent: not collapsed.
         if probability_of_subspace(state, lambda i: (i >> ancilla) & 1 == branch):
             start = collapse_qubit(state, ancilla, branch)[1]
             p_good = good_subspace_probability(start, branch)
@@ -640,11 +646,12 @@ class TestStrictExactness:
         st.integers(0, 2**32 - 1),
         st.sampled_from(["sparse", "dense"]),
     )
-    # One round takes P = 3/4 to ~0 good mass, all pruned: every shot fails.
+    # One round takes P = 3/4 to ~0 good mass: every shot fails.
     @example((("100",), "000"), 1, "memory-only", "fixed:1", 50, 3, "sparse")
     @example((("100",), "000"), 1, "memory-only", "fixed:1", 50, 3, "dense")
-    # Branch 0's amplitudes sqrt(1e-30 / p) are pruned: it is absent, not refused.
-    @example((("100", "010"), "000"), 2, "fixed:1e-30", "exact", 50, 3, "sparse")
+    # Branch 0's amplitudes sqrt(5e-324 / 2) round to 0: it is absent, not refused.
+    @example((("100", "010"), "000"), 2, "fixed:5e-324", "exact", 50, 3, "sparse")
+    @example((("100", "010"), "000"), 2, "fixed:5e-324", "exact", 50, 3, "dense")
     def test_strict_replay_equals_per_shot_readout(
         self, memory, b, gamma, amp, shots, seed, mode
     ):
@@ -694,6 +701,8 @@ class TestLawProperties:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(weighted_memories(), st.integers(1, 4), st.sampled_from(["sparse", "dense"]))
+    # A branch of weight 1e-26 keeps every amplitude, so it follows the law.
+    @example((("0000", "0110", "1011"), "1100", "fixed:1e-26"), 2, "sparse")
     def test_collapsed_branches_follow_the_law(self, memory, b, mode):
         words, input_word, gamma_mode = memory
         patterns, inp = ps(*words), bp(input_word)
@@ -704,11 +713,11 @@ class TestLawProperties:
         anc = lay.ancilla
         oracle = None
         for branch, weight in ((0, gamma), (1, gamma_bar)):
-            # The prune threshold is absolute, so collapsing a branch of tiny
-            # weight renormalizes what pruning dropped (see CHANGES.md); the
-            # law is claimed where every prepared amplitude sqrt(w / p) is at
-            # least 1e-9, 1e5 times the threshold.
-            if weight < p * 1e-18:
+            # A subnormal weight is skipped: the branch mass that the collapse
+            # divides by is then subnormal too, with too few significant bits
+            # for the law's 1e-12 (at 1e-320 it misses by about 1e-3). Every
+            # normal weight, however small, follows the law to rounding.
+            if weight < sys.float_info.min:
                 continue
             _, collapsed = collapse_qubit(state, anc.offset, branch)
             good = lay.control.mask | anc.mask if branch else 0

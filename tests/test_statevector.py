@@ -11,7 +11,6 @@ from mirrorqam.patterns import BitPattern
 from mirrorqam.retrieval import amplitude_amplify, apply_difference_encoding
 from mirrorqam.statevector import (
     NORM_TOLERANCE,
-    PRUNE_THRESHOLD,
     RegisterLayout,
     StateVector,
     apply_control_rotations,
@@ -182,10 +181,10 @@ class TestHadamard:
         st = bell(mode)
         assert apply_hadamard(apply_hadamard(st, 0), 0).allclose(st, 1e-14)
 
-    def test_sparse_prunes_cancelled_amplitudes(self):
+    def test_sparse_drops_cancelled_amplitudes(self):
         st = apply_hadamard(apply_hadamard(one_qubit(), 0), 0)
         assert st.support_size == 1
-        assert all(abs(a) > PRUNE_THRESHOLD for _, a in st.items())
+        assert all(a != 0 for _, a in st.items())
 
 
 class TestHammingPhase:
@@ -362,18 +361,24 @@ class TestInnerProduct:
     def test_mixed_modes(self):
         assert inner_product(bell("sparse"), bell("dense")) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("mode", ["sparse", "dense"])
     @pytest.mark.parametrize("n", [13, 15])
-    def test_dense_sums_agree_with_one_vdot(self, n):
-        # Dense inner products and masses sum np.vdot over blocks of 8192
-        # amplitudes, so OpenBLAS never splits them across threads. Up to
-        # one block (n=13) that is a single np.vdot, bit for bit; over four
-        # blocks (n=15) the blockwise sum agrees to rounding.
+    def test_sums_agree_with_one_vdot(self, n, mode):
+        # Inner products, masses and projections sum np.vdot over blocks of
+        # 8192 amplitudes, so OpenBLAS never splits them across threads. Up
+        # to one block (n=13) that is a single np.vdot, bit for bit; over
+        # four blocks (n=15) the blockwise sum agrees to rounding.
         lay = RegisterLayout.memory_only(n)
-        a, b = (random_state(lay, seed, "dense", size=lay.dim) for seed in (3, 4))
+        a, b = (random_state(lay, seed, mode, size=lay.dim) for seed in (3, 4))
         va, vb = a.arrays()[1], b.arrays()[1]
         top = 1 << (n - 1)
-        want = np.vdot(va, vb), np.vdot(va[top:], va[top:]).real
-        got = inner_product(a, b), subspace_mass(a, top, top)
+        mass = np.vdot(va[top:], va[top:]).real
+        want = np.vdot(va, vb), mass, mass
+        got = (
+            inner_product(a, b),
+            subspace_mass(a, top, top),
+            collapse_qubit(a, n - 1, 1)[0],
+        )
         if n == 13:
             assert got == want
         else:
@@ -414,12 +419,12 @@ class TestModeAgreementAndNorm:
             st = _random_op(st, rng)
             assert abs(st.norm() - 1.0) < NORM_TOLERANCE
 
-    def test_sparse_never_stores_subthreshold_amplitudes(self, rng):
+    def test_sparse_never_stores_zero_amplitudes(self, rng):
         lay = RegisterLayout.retrieval(3, 2)
         st = StateVector.basis_state(lay, 0)
         for _ in range(200):
             st = _random_op(st, rng)
-        assert all(abs(a) > PRUNE_THRESHOLD for _, a in st.items())
+        assert all(a != 0 for _, a in st.items())
 
 
 # Property tests: random small layouts, states and gate sequences. Each
@@ -487,7 +492,7 @@ class TestEngineProperties:
         for gate in sequence:
             sparse, dense = apply_gate(sparse, gate), apply_gate(dense, gate)
         assert sparse.allclose(dense, 1e-12)
-        assert all(abs(a) > PRUNE_THRESHOLD for _, a in sparse.items())
+        assert all(a != 0 for _, a in sparse.items())
 
     @PROPERTY
     @given(layouts, seeds, gates)
@@ -807,22 +812,21 @@ class TestControlRotationKernel:
         got = apply_control_rotations(state)
         assert_same_bits(dense_vector(got), dense_vector(gate_sequence(state)))
 
-    def test_prunes_where_the_gate_sequence_prunes(self):
+    def test_keeps_small_amplitudes_where_the_gate_sequence_keeps_them(self):
         # The first Hadamard leaves about 7e-16 in control value 0 of memory
-        # word 0; the gate sequence drops it, so the kernel must zero it
-        # before it is mixed into the 0.7 beside it.
+        # word 0; the gate sequence keeps it and mixes it into the 0.7 beside
+        # it, and so must the kernel.
         layout = RegisterLayout.retrieval(2, 2)
         near = -0.5 + 1e-15
         amps = [0.5, near, math.sqrt(1 - 0.25 - near**2)]
         state = StateVector.from_arrays(layout, [0b0000, 0b0100, 0b0011], amps)
         assert_rotations_match_the_gate_sequence(state)
 
-    def test_prunes_where_the_gate_sequence_prunes_on_an_empty_upper_half(self):
+    def test_keeps_small_amplitudes_on_an_empty_upper_half(self):
         # Control 0 of memory word 11 (no zero bits, so every phase is 1)
         # holds 1.2e-14. The first Hadamard scales it to 8.5e-15 and the
-        # gate sequence drops it; the kernel, which only scales the lower
-        # half while the upper one is empty, must drop it too, or the second
-        # Hadamard restores it to 1.2e-14.
+        # second restores it to about 1.2e-14; the kernel, which only scales
+        # the lower half while the upper one is empty, must keep it too.
         layout = RegisterLayout.retrieval(2, 2)
         tiny = 1.2e-14
         state = StateVector.from_arrays(
@@ -847,8 +851,8 @@ def reference_amplify(state, branch, k):
 
     Each round negates the good amplitudes with np.where, then forms
     2 <axis|s> axis - s on the axis support, taking the inner product over
-    the smaller support as inner_product does, and drops every amplitude of
-    magnitude at most PRUNE_THRESHOLD.
+    the smaller support as inner_product does, and drops every amplitude
+    that is exactly 0.
     """
     axis_idx, axis_amps = state.arrays()
     control = state.layout.control
@@ -864,7 +868,7 @@ def reference_amplify(state, branch, k):
             axis_on_state = axis_amps[np.searchsorted(axis_idx, idx)]
             coeff = 2.0 * complex(np.vdot(axis_on_state, amps))
         amps = coeff * axis_amps - on_axis
-        keep = np.abs(amps) > PRUNE_THRESHOLD
+        keep = amps != 0
         idx, amps = axis_idx[keep], amps[keep]
     return idx, amps
 
@@ -872,9 +876,10 @@ def reference_amplify(state, branch, k):
 class TestAmplificationKernels:
     # The sparse reflections, round after round, against reference_amplify,
     # exactly. With quarter set, the good subspace holds mass 1/4, so the
-    # first round leaves the other amplitudes at rounding level and prunes
-    # them: later rounds see a support that is no longer the axis's own
-    # index array.
+    # first round leaves the other amplitudes at rounding level. Where
+    # 2 <axis|s> rounds to exactly 1 they cancel to 0 and are dropped (the
+    # second example), so later rounds see a support that is no longer the
+    # axis's own index array; otherwise all of them are kept (the first).
     @PROPERTY
     @given(layouts, seeds, st.integers(0, 1), st.integers(0, 4), st.booleans())
     @example(RegisterLayout.retrieval(3, 2), 3, 0, 3, True)
@@ -904,6 +909,9 @@ class TestAmplificationKernels:
         assert np.array_equal(got.arrays()[0], want_idx)
         assert_same_bits(got.arrays()[1], want_amps)
         if quarter:
-            # the first round keeps only the good entries
-            first = amplitude_amplify(state, branch, 1)
-            assert first.support_size == np.count_nonzero(good)
+            # the first round keeps every good entry, and the rest at most at
+            # rounding level
+            first_idx, first_amps = amplitude_amplify(state, branch, 1).arrays()
+            kept_good = (first_idx & control.mask) == target
+            assert np.array_equal(first_idx[kept_good], idx[good])
+            assert np.all(np.abs(first_amps[~kept_good]) <= 1e-15)
