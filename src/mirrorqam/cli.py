@@ -382,10 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, with_input=True, with_shots=False, with_retries=False):
+    def add_common(p, with_shots=False, with_retries=False):
         p.add_argument("--patterns", required=True, help="pattern file path")
-        if with_input:
-            p.add_argument("--input", required=True, help="input bit string")
+        p.add_argument("--input", required=True, help="input bit string")
         p.add_argument(
             "--b", type=_positive_int, required=True, help="control-qubit count"
         )

@@ -29,13 +29,13 @@ from .memory import check_branch_weights, memory_overlap, solve_efficiencies
 from .patterns import BitPattern, PatternSet, check_width, hamming_distance
 from .statevector import (
     MAX_AMPLITUDES,
-    Register,
     RegisterLayout,
     StateVector,
     apply_control_rotations,
     collapse_qubit,
     collapse_register,
     flip_bits,
+    good_control,
     measure_qubit,
     measure_register,
     reflect_about_state,
@@ -355,10 +355,8 @@ def analytic_distribution(
 
 def good_subspace_probability(state: StateVector, branch: int) -> float:
     """Born mass of the all-0 (branch 0) or all-1 (branch 1) control subspace."""
-    if branch not in (0, 1):
-        raise ValueError("branch must be 0 or 1")
     reg = state.layout.control
-    return subspace_mass(state, reg.mask, reg.mask if branch else 0)
+    return subspace_mass(state, reg.mask, good_control(reg, branch) << reg.offset)
 
 
 def optimal_iterations(p_good: float) -> int:
@@ -437,11 +435,6 @@ def _retrieval_pipeline(
     )
 
 
-def _good_control(control: Register, branch: int) -> int:
-    """The control value of branch's good subspace: every qubit reads branch."""
-    return control.mask >> control.offset if branch else 0
-
-
 def _corrected(raw: BitPattern, branch: int) -> BitPattern:
     """The stored pattern a memory readout stands for: branch 1 reads mirrors."""
     return raw.mirror() if branch else raw
@@ -453,7 +446,7 @@ def _read_out(
     """Measure controls, then memory if all read branch: (raw, corrected) or None."""
     control = state.layout.control
     word, state = measure_register(state, control, rng)
-    if BitPattern.from_string(word).value != _good_control(control, branch):
+    if BitPattern.from_string(word).value != good_control(control, branch):
         return None
     raw = BitPattern.from_string(measure_register(state, "memory", rng)[0])
     return raw, _corrected(raw, branch)
@@ -581,7 +574,7 @@ def simulate_distribution(
         # only after a good control outcome. Each branch's laws are built
         # once; the memory law on the first good draw, so a branch that
         # holds no good amplitude never projects onto one.
-        good = {branch: _good_control(control, branch) for branch in (0, 1)}
+        good = {branch: good_control(control, branch) for branch in (0, 1)}
         control_law = {
             branch: register_law(amplified, control).as_lists()
             for branch, amplified in branch_states.items()
@@ -611,7 +604,7 @@ def simulate_distribution(
             indices, amps = branch_states[branch].arrays()
             probs = np.abs(amps) ** 2
             draws = indices[rng.choice(indices.size, size=count, p=probs / probs.sum())]
-            target = _good_control(control, branch) << control.offset
+            target = good_control(control, branch) << control.offset
             good = (draws & control.mask) == target
             failed += int(np.sum(~good))
             memory_values = (draws[good] & mem.mask) >> mem.offset

@@ -28,42 +28,47 @@ full-size intermediate arrays. int64 indices limit layouts to 63 qubits.
 Measuring a register is register_law, one draw from it and a projection.
 The law holds the cumulative Born masses in register-value order (sparse:
 one position per support entry, stably sorted by register value; dense:
-one per register value), the register values with the stable order that
-sorts them, and a clamp position. A draw bisects for the first position
-whose cumulative mass exceeds a uniform u, or takes the clamp when none
-does, and gathers only that outcome. A caller that draws many times from
-one state builds its law once, as lists (RegisterLaw.as_lists).
+one per register value), the register value at each position, and a
+clamp position. A draw bisects for the first position whose cumulative
+mass exceeds a uniform u, or takes the clamp when none does. A caller
+that draws many times from one state builds its law once, as lists
+(RegisterLaw.as_lists).
 Dense mode keeps the full 2**total_qubits vector, at most 24 qubits, and is
 written separately, as the reference that sparse results are
 cross-validated against; both modes implement every operation and agree
 amplitude-by-amplitude. Dense kernels never build a per-basis-state index
 table: each reshapes the vector so that the qubit or register it acts on
 is one axis, then reverses, swaps, combines, scales or sums along that
-axis; flip_bits reverses every axis of its mask in one copy. The distance
-phase multiplies by a table over memory words only.
+axis; flip_bits reverses every axis of its mask in one copy.
 The control rotations (Hadamard, distance phase, Hadamard on each control
 qubit) are the one kernel the modes share: a loop that runs, for each
 control qubit, the Hadamard butterfly, the phase multiply and the
 butterfly again in place on an (above, 2**b, below) view of rows of
 control values, touching only the rows that can be nonzero. Each mode
-builds its own rows and passes in its own phase multiply. Dense: a copy
-of the vector, viewed through _blocks. Sparse: the support split into
-groups of equal bits above the control register, each group a
-(2**b, largest group size) block indexed by control value and then by the
-bits below, with zero columns padding the smaller groups; the blocks lie
-back to back in one buffer, which is therefore already in basis-index
-order and becomes the output, without its zeros, without a sort. The
-loop does the arithmetic of the separate gates, so each mode's kernel
-output equals that mode's own gate sequence bit for bit; the tests judge
-each kernel against that sequence, whose per-qubit gates are written
-apart from the loop and per mode. Beyond that loop and the blocked sum
-below, dense code shares no kernel with the sparse code, only the phase
-closed form. Inner products and masses in both modes sum np.vdot over
-consecutive blocks of 8192 amplitudes: OpenBLAS splits a longer dot
-product across its worker threads, which then spin between calls, so a
-run would keep a second core busy, its speed would follow that core's
-load, and the sum would depend on the host's thread count. A vector of at
-most 8192 amplitudes is one np.vdot call.
+builds its own rows. Dense: a copy of the vector, viewed through _blocks.
+Sparse: the support split into groups of equal bits above the control
+register, each group a (2**b, largest group size) block indexed by
+control value and then by the bits below, with zero columns padding the
+smaller groups; the blocks lie back to back in one buffer, which is
+therefore already in basis-index order and becomes the output, without
+its zeros, without a sort. One phase construction serves both kernels and
+the dense apply_hamming_phase: _distance_phases takes the bits outside the
+control register of each column of a row view (the sparse kernel's grid
+of support words; every dense index above and below the control
+register) and gives that column's phase under either value of a control
+bit, and _multiply_phases applies one control qubit's phases in place.
+The loop does the arithmetic of the separate gates, so each mode's kernel
+output equals that mode's own gate sequence bit for bit. The phase keeps
+independent judges: the sparse apply_hamming_phase computes its phases per
+basis index, apart from _distance_phases; the tests compare the sparse
+kernel with that gate sequence, the dense gates with explicit
+Kronecker-product operators, and the two modes with each other over
+random gate sequences. Inner products and masses in both modes sum
+np.vdot over consecutive blocks of 8192 amplitudes: OpenBLAS splits a
+longer dot product across its worker threads, which then spin between
+calls, so a run would keep a second core busy, its speed would follow
+that core's load, and the sum would depend on the host's thread count. A
+vector of at most 8192 amplitudes is one np.vdot call.
 
 All operations return new StateVector values; the arrays of an existing
 value are read-only and never mutated, so sharing across threads is safe.
@@ -541,10 +546,10 @@ def apply_hamming_phase(state: StateVector, control: int) -> StateVector:
         signed = np.where((idx & cmask) != 0, -zeros, zeros)
         phases = _phase_table(n)[n + signed]
         return StateVector._sparse(layout, idx, state._amps * phases)
-    rows = _blocks(state._amps, control_reg.offset, control_reg.width)
-    k = control - control_reg.offset
-    view, phases = _phase_axes(rows, layout, k, _word_phases(n))
-    return StateVector._dense(layout, (view * phases).reshape(-1))
+    out = state._amps.copy()
+    rows = _blocks(out, control_reg.offset, control_reg.width)
+    _multiply_phases(rows, control - control_reg.offset, _dense_phases(layout, rows))
+    return StateVector._dense(layout, out)
 
 
 def _phase_table(n: int) -> np.ndarray:
@@ -552,35 +557,34 @@ def _phase_table(n: int) -> np.ndarray:
     return np.exp(1j * (math.pi / (2 * n)) * np.arange(-n, n + 1))
 
 
-def _word_phases(n: int) -> np.ndarray:
-    """table[v, m]: the distance phase of memory word m under control bit value v."""
-    zeros = n - np.bitwise_count(np.arange(1 << n)).astype(np.int64)
-    return _phase_table(n)[n + np.outer((1, -1), zeros)]
+def _distance_phases(layout: RegisterLayout, words: np.ndarray) -> np.ndarray:
+    """phases[g, 0, v, 0, j]: the distance phase of words[g, j] under control bit v.
 
-
-def _phase_axes(rows: np.ndarray, layout: RegisterLayout, k: int, table: np.ndarray):
-    """Dense control rows viewed with control qubit k and the memory word as axes.
-
-    rows is (above, R, below) from _blocks over the control register, or
-    its first R control values, a multiple of 2**(k + 1). Returns that view
-    and the _word_phases table shaped to broadcast over it.
+    words[g, j] holds the bits outside the control register of column j of
+    row group g of an (above, 2**b, below) row view; only its memory bits
+    count. The array broadcasts over the view of _multiply_phases.
     """
-    memory, control = layout.memory, layout.control
-    n = memory.width
-    above, count, below = rows.shape
-    pairs = count >> (k + 1)
-    if memory.offset < control.offset:
-        # (above, pairs, control bit, lower control bits and gap, memory
-        # word, below memory)
-        gap = control.offset - memory.offset - n
-        lower = (1 << k) << gap
-        view = rows.reshape(above, pairs, 2, lower, 1 << n, 1 << memory.offset)
-        return view, table[:, None, :, None]
-    # (above memory, memory word, gap, pairs, control bit, lower control
-    # bits and below)
-    gap = memory.offset - control.offset - control.width
-    view = rows.reshape(-1, 1 << n, 1 << gap, pairs, 2, below << k)
-    return view, table.T[:, None, None, :, None]
+    n = layout.n
+    zeros = n - np.bitwise_count(words & layout.memory.mask).astype(np.int64)
+    table = _phase_table(n)
+    return np.stack((table[n + zeros], table[n - zeros]), axis=1)[:, None, :, None]
+
+
+def _dense_phases(layout: RegisterLayout, rows: np.ndarray) -> np.ndarray:
+    """_distance_phases of dense rows, _blocks over the control register."""
+    control = layout.control
+    above, _, below = rows.shape
+    high = np.arange(above, dtype=np.int64) << (control.offset + control.width)
+    return _distance_phases(layout, high[:, None] | np.arange(below, dtype=np.int64))
+
+
+def _multiply_phases(rows: np.ndarray, k: int, phases: np.ndarray) -> None:
+    """Multiply the (leading) rows of a row view by qubit k's phases, in place."""
+    # One multiply over both halves, never a one-element product: numpy can
+    # send that through a scalar loop that rounds differently from the
+    # vector loop the sparse apply_hamming_phase runs.
+    view = rows.reshape(rows.shape[0], -1, 2, 1 << k, rows.shape[2])
+    view *= phases
 
 
 def _butterfly(live, low, high, tmp) -> None:
@@ -591,13 +595,13 @@ def _butterfly(live, low, high, tmp) -> None:
     live *= _SQRT_HALF
 
 
-def _rotate_rows(rows: np.ndarray, filled: int, multiply_phases) -> None:
+def _rotate_rows(rows: np.ndarray, filled: int, phases: np.ndarray) -> None:
     """Hadamard, distance phase, Hadamard on each control qubit, in place.
 
     rows is (above, 2**b, below), indexed by control value on its middle
     axis, and holds +0.0 at every control value of bit length above
-    filled. multiply_phases(live, k) multiplies the leading rows live by
-    control qubit k's phases in place.
+    filled. phases is _distance_phases of the rows' words; each qubit's
+    phase step is _multiply_phases, as in the dense apply_hamming_phase.
     """
     above, count, below = rows.shape
     scratch = np.empty(rows.size // 2, dtype=np.complex128)
@@ -621,7 +625,7 @@ def _rotate_rows(rows: np.ndarray, filled: int, multiply_phases) -> None:
             np.add(high, 0.0, out=low)
         else:
             _butterfly(live, low, high, tmp)
-        multiply_phases(live, k)
+        _multiply_phases(live, k, phases)
         _butterfly(live, low, high, tmp)
 
 
@@ -630,18 +634,26 @@ def apply_control_rotations(state: StateVector) -> StateVector:
 
     On a memory word with z zero bits, a control qubit that starts in |0>
     ends in cos(pi z / 2n)|0> + i sin(pi z / 2n)|1>. Both modes run one
-    kernel, described in the module docstring, whose output equals that
-    of the three gates applied qubit by qubit, bit for bit. Per qubit it
-    works only on the leading control values that can be nonzero: a
-    sparse block whose controls start at 0 fills as the gate-by-gate
-    support would, and a dense vector whose controls start at 0 costs
-    about two passes per step instead of b.
+    kernel, described in the module docstring, on phases from
+    _distance_phases, the dense apply_hamming_phase's phases; its output
+    equals that of the three gates applied qubit by qubit, bit for bit.
+    Per qubit it works only on the leading control values that can be
+    nonzero: a sparse block whose controls start at 0 fills as the
+    gate-by-gate support would, and a dense vector whose controls start at
+    0 costs about two passes per step instead of b.
     """
     layout = state.layout
     control = layout.control
+    b = control.width
     if state.mode == "dense":
-        return _dense_control_rotations(state)
-    n, b = layout.n, control.width
+        out = state._amps.copy()
+        rows = _blocks(out, control.offset, b)
+        # filled is the bit length of the largest control value whose row
+        # holds any set bit, -0.0 included, so every row past it is +0.0.
+        held = np.flatnonzero(rows.view(np.uint64).any(axis=(0, 2)))
+        filled = int(held.max(initial=0)).bit_length()
+        _rotate_rows(rows, filled, _dense_phases(layout, rows))
+        return StateVector._dense(layout, out)
     rows = 1 << b
     idx = state._idx
     rest, r = np.unique(idx & ~control.mask, return_inverse=True)
@@ -663,44 +675,12 @@ def apply_control_rotations(state: StateVector) -> StateVector:
     buf[group[r], c, col[r]] = state._amps
     words = np.zeros((shape[0], shape[2]), dtype=np.int64)
     words[group, col] = rest
-    zeros = n - np.bitwise_count(words & layout.memory.mask).astype(np.int64)
-    table = _phase_table(n)
-    # phases[g, 0, v, 0, j]: the phase of column j of group g under control
-    # bit value v.
-    phases = np.stack((table[n + zeros], table[n - zeros]), axis=1)[:, None, :, None]
-
-    def multiply_phases(live, k):
-        # One multiply over both halves, never a one-element product: numpy
-        # can send that through a scalar loop that rounds differently from
-        # the vector loop apply_hamming_phase runs.
-        view = live.reshape(shape[0], -1, 2, 1 << k, shape[2])
-        view *= phases
-
-    _rotate_rows(buf, int(c.max()).bit_length(), multiply_phases)
+    _rotate_rows(buf, int(c.max()).bit_length(), _distance_phases(layout, words))
     out_idx = np.empty(shape, dtype=np.int64)
     shifts = (np.arange(rows, dtype=np.int64) << control.offset)[:, None]
     np.bitwise_or(words[:, None, :], shifts, out=out_idx)
     # The padding is 0, and so is every amplitude the gate sequence drops.
     return _nonzero(layout, out_idx.reshape(-1), buf.reshape(-1))
-
-
-def _dense_control_rotations(state: StateVector) -> StateVector:
-    layout = state.layout
-    control = layout.control
-    out = state._amps.copy()
-    rows = _blocks(out, control.offset, control.width)
-    # filled is the bit length of the largest control value whose row holds
-    # any set bit, -0.0 included, so every row past it is +0.0.
-    held = np.flatnonzero(rows.view(np.uint64).any(axis=(0, 2)))
-    filled = int(held.max(initial=0)).bit_length()
-    table = _word_phases(layout.n)
-
-    def multiply_phases(live, k):
-        view, phases = _phase_axes(live, layout, k, table)
-        view *= phases
-
-    _rotate_rows(rows, filled, multiply_phases)
-    return StateVector._dense(layout, out)
 
 
 def collapse_qubit(
@@ -765,33 +745,26 @@ def measure_qubit(state: StateVector, qubit: int, rng) -> tuple[int, StateVector
 class RegisterLaw(NamedTuple):
     """A register's Born law, ready for draws.
 
-    cumulative holds the cumulative masses in register-value order and the
-    outcome at position i is values[order[i]]; clamp is the last position a
-    draw may return, so a draw at or above the total mass (which rounding
-    can leave below 1) lands on a value of nonzero mass. The fields are
-    arrays, or lists after as_lists.
+    cumulative holds the cumulative masses in register-value order and
+    outcomes[i] is the register value at position i; clamp is the last
+    position a draw may return, so a draw at or above the total mass (which
+    rounding can leave below 1) lands on a value of nonzero mass. The
+    fields are arrays, or lists after as_lists.
     """
 
     cumulative: Sequence[float]
-    values: Sequence[int]
-    order: Sequence[int]
+    outcomes: Sequence[int]
     clamp: int
 
     def draw(self, u: float) -> int:
         """The value at which the cumulative mass first exceeds u."""
-        first = bisect_right(self.cumulative, u)
-        return int(self.values[self.order[min(first, self.clamp)]])
+        return int(self.outcomes[min(bisect_right(self.cumulative, u), self.clamp)])
 
     def as_lists(self) -> RegisterLaw:
-        """The same law on lists, whose draws skip numpy's per-element cost.
-
-        For a caller that draws many times; it gathers every outcome once.
-        """
-        outcomes = np.asarray(self.values)[np.asarray(self.order)]
+        """The same law on lists, whose draws skip numpy's per-element cost."""
         return RegisterLaw(
             np.asarray(self.cumulative).tolist(),
-            outcomes.tolist(),
-            range(outcomes.size),
+            np.asarray(self.outcomes).tolist(),
             self.clamp,
         )
 
@@ -806,15 +779,16 @@ def register_law(state: StateVector, register: str | Register) -> RegisterLaw:
     if state.mode == "dense":
         blocks = np.abs(_blocks(state._amps, reg.offset, reg.width)) ** 2
         marginal = blocks.sum(axis=(0, 2))
-        values = np.arange(marginal.size)
         return RegisterLaw(
-            np.cumsum(marginal), values, values, int(np.flatnonzero(marginal)[-1])
+            np.cumsum(marginal),
+            np.arange(marginal.size),
+            int(np.flatnonzero(marginal)[-1]),
         )
     idx, amps = state.arrays()
     values = (idx & reg.mask) >> reg.offset
     order = np.argsort(values, kind="stable")
     cumulative = np.cumsum(np.abs(amps[order]) ** 2)
-    return RegisterLaw(cumulative, values, order, idx.size - 1)
+    return RegisterLaw(cumulative, values[order], idx.size - 1)
 
 
 def collapse_register(
@@ -869,12 +843,17 @@ def reflect_about_state(state: StateVector, axis: StateVector) -> StateVector:
     return _nonzero(state.layout, support, amps)
 
 
-def reflect_good_subspace(state: StateVector, branch: int) -> StateVector:
-    """Negate amplitudes whose control register is all-0 (branch 0) or all-1 (branch 1)."""
+def good_control(control: Register, branch: int) -> int:
+    """The control value of branch's good subspace: every qubit reads branch."""
     if branch not in (0, 1):
         raise ValueError("branch must be 0 or 1")
+    return control.mask >> control.offset if branch else 0
+
+
+def reflect_good_subspace(state: StateVector, branch: int) -> StateVector:
+    """Negate amplitudes whose control register is all-0 (branch 0) or all-1 (branch 1)."""
     reg = state.layout.control
-    target = reg.mask if branch else 0
+    target = good_control(reg, branch) << reg.offset
     out = state._amps.copy()
     if state.mode == "sparse":
         flip = (state._idx & reg.mask) == target

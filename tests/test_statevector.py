@@ -556,7 +556,7 @@ class TestEngineProperties:
             for u in us:
                 first = int(np.searchsorted(cumulative, u, side="right"))
                 position = min(first, law.clamp)
-                expect = int(law.values[law.order[position]])
+                expect = int(law.outcomes[position])
                 assert law.draw(u) == lists.draw(u) == expect
 
     @settings(max_examples=15, deadline=None, derandomize=True)
@@ -606,6 +606,11 @@ CONTROL_BELOW_MEMORY = RegisterLayout((("control", 2), ("memory", 3), ("ancilla"
 TWO_ABOVE_CONTROL = RegisterLayout(
     (("memory", 2), ("control", 3), ("ancilla", 1), ("copy", 2))
 )
+# Memory above the control register, with one register between them and one
+# above memory, so the words on the above axis mix memory bits with others.
+MEMORY_ABOVE_CONTROL = RegisterLayout(
+    (("control", 2), ("copy", 1), ("memory", 3), ("ancilla", 1))
+)
 
 
 def operator(layout, factors):
@@ -643,6 +648,8 @@ class TestDenseAgainstOperators:
     )
     @example(CONTROL_BELOW_MEMORY, 1, "phase")
     @example(CONTROL_BELOW_MEMORY, 1, "rotate")
+    @example(MEMORY_ABOVE_CONTROL, 3, "phase")
+    @example(MEMORY_ABOVE_CONTROL, 3, "rotate")
     @example(CONTROL_BELOW_MEMORY, 2, "good")
     def test_gate_matches_explicit_operator(self, layout, seed, name):
         state = random_state(layout, seed, "dense")
@@ -771,6 +778,7 @@ class TestControlRotationKernel:
     @given(any_order_layouts(4), seeds, st.integers(0, 4), st.integers(1, 64))
     @example(CONTROL_BELOW_MEMORY, 1, 0, 64)
     @example(TWO_ABOVE_CONTROL, 5, 0, 64)
+    @example(MEMORY_ABOVE_CONTROL, 6, 0, 64)
     # One basis state and one control qubit: the phase step is a product of
     # two amplitudes, where numpy's loops can round differently.
     @example(RegisterLayout((("memory", 4), ("ancilla", 1), ("control", 1))), 2, 0, 1)
@@ -782,6 +790,7 @@ class TestControlRotationKernel:
     @given(any_order_layouts(4), seeds, st.integers(0, 4), st.integers(1, 64))
     @example(CONTROL_BELOW_MEMORY, 1, 0, 64)
     @example(TWO_ABOVE_CONTROL, 5, 0, 64)
+    @example(MEMORY_ABOVE_CONTROL, 6, 0, 64)
     @example(RegisterLayout.retrieval(4, 4), 3, 0, 64)
     def test_dense_kernel_equals_the_gate_sequence(self, layout, seed, filled, size):
         # rng.normal never draws -0.0, so about half of the other basis
