@@ -144,8 +144,8 @@ def parse_pattern_file(text: str) -> PatternSet:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        bad = next((c for c in line if c not in "01"), None)
-        if bad is not None:
+        if line.strip("01"):
+            bad = next(c for c in line if c not in "01")
             raise PatternParseError(
                 f"non-binary character {bad!r} in pattern {line!r}", line=lineno
             )
@@ -167,7 +167,7 @@ def parse_pattern_file(text: str) -> PatternSet:
                 line=lineno,
             )
         first_seen[word] = lineno
-    return PatternSet.from_strings(word for _, word in rows)
+    return PatternSet(tuple(BitPattern(int(word[::-1], 2), width) for _, word in rows))
 
 
 def random_pattern_set(n: int, p: int, rng) -> PatternSet:

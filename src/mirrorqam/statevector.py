@@ -15,16 +15,23 @@ exactly 0 and keep every other one, however small. So a branch is absent
 only when its amplitudes are exactly 0, in either mode. Every gate is array
 arithmetic over the whole support: flip_bits (NOT on every qubit of a mask
 at once) and XOR rewrite indices and re-sort, the distance phase is a
-masked popcount, the Hadamard pairs each index with its partner, and
-projection and measurement select by index masks. A gate that keeps the
-support passes its input's index array on unchanged, so the states of one
-amplification run share their axis's index array, and the reflections and
-the inner product recognise that by identity before they compare or look
-up indices. Each gate computes its output amplitudes in one array and
-updates it in place (the good-subspace reflection negates inside one copy,
-the reflection about a state subtracts the state from the scaled axis, a
-projection renormalizes the amplitudes it selected) rather than combining
-full-size intermediate arrays. int64 indices limit layouts to 63 qubits.
+masked popcount, and the Hadamard pairs each index with its partner.
+Projection, masses, the good-subspace reflection and register_law select
+the entries with (i & mask) == value as one run of the sorted support,
+found by two binary searches, when the mask covers contiguous qubits and
+every entry shares the bits above them (a one-branch state, or any
+selection on the top register); otherwise they select by a boolean index
+mask. Either way they take the same entries in the same order, so the
+results agree bit for bit; a run's projection keeps a view of its input's
+indices. A gate that keeps the support passes its input's index array on
+unchanged, so the states of one amplification run share their axis's
+index array, and the reflections and the inner product recognise that by
+identity before they compare or look up indices. Each gate computes its
+output amplitudes in one array and updates it in place (the good-subspace
+reflection negates inside one copy, the reflection about a state
+subtracts the state from the scaled axis, a projection renormalizes the
+amplitudes it selected) rather than combining full-size intermediate
+arrays. int64 indices limit layouts to 63 qubits.
 Measuring a register is register_law, one draw from it and a projection.
 The law holds the cumulative Born masses in register-value order (sparse:
 one position per support entry, stably sorted by register value; dense:
@@ -438,6 +445,35 @@ def _gather(idx: np.ndarray, amps: np.ndarray, query: np.ndarray) -> np.ndarray:
     return np.where(hit, amps[pos], 0j)
 
 
+def _sorted_under(idx: np.ndarray, mask: int) -> bool:
+    """Whether the sorted support idx is also sorted by the bits under mask.
+
+    It is when mask covers contiguous qubits and every entry shares the bits
+    above them, which idx[0] and idx[-1] then do.
+    """
+    return (
+        idx.size > 0
+        and mask > 0
+        and not mask & (mask + (mask & -mask))
+        and not (int(idx[0]) ^ int(idx[-1])) >> mask.bit_length()
+    )
+
+
+def _selection(idx: np.ndarray, mask: int, value: int) -> slice | np.ndarray:
+    """The positions of the sorted support idx with (i & mask) == value.
+
+    When _sorted_under(idx, mask) holds, they form one run, found by two
+    binary searches and returned as a slice; otherwise this returns a
+    boolean mask over the support.
+    """
+    if value & ~mask or not _sorted_under(idx, mask):
+        return (idx & mask) == value
+    top = mask.bit_length()
+    first = (int(idx[0]) >> top << top) | value
+    last = first | ((mask & -mask) - 1)
+    return slice(int(idx.searchsorted(first)), int(idx.searchsorted(last, "right")))
+
+
 def _nonzero(layout: RegisterLayout, idx: np.ndarray, amps: np.ndarray) -> StateVector:
     """Sparse state on sorted indices, without the amplitudes that are exactly 0."""
     keep = amps != 0
@@ -451,12 +487,14 @@ def _permuted(state: StateVector, flips) -> StateVector:
 
     flips is one mask or an array of masks aligned with the support.
     """
-    idx = state._idx ^ flips
-    # Flipping a bit swaps the two halves of aligned index blocks, so idx is
-    # left in ascending or descending runs; the stable kind (timsort for
-    # int64) merges such runs in near-linear time.
-    order = np.argsort(idx, kind="stable")
-    idx = idx[order]  # frees the unsorted indices before the amplitudes are gathered
+    # Flipping a bit swaps the two halves of aligned index blocks, so the
+    # flipped indices lie in ascending or descending runs; the stable kind
+    # (timsort for int64) merges such runs in near-linear time. They are
+    # dropped once sorted: a gather of the originals, flipped in place, is
+    # the sorted indices.
+    order = np.argsort(state._idx ^ flips, kind="stable")
+    idx = state._idx[order]
+    idx ^= flips[order] if isinstance(flips, np.ndarray) else flips
     return StateVector._sparse(state.layout, idx, state._amps[order])
 
 
@@ -703,19 +741,20 @@ def _project(
     state: StateVector, select_mask: int, select_value: int
 ) -> tuple[float, StateVector]:
     if state.mode == "sparse":
-        keep = (state._idx & select_mask) == select_value
-        kept = state._amps[keep]  # a copy, renormalized in place
+        keep = _selection(state._idx, select_mask, select_value)
+        kept = state._amps[keep]
         probability = _vdot(kept, kept).real
         if probability <= 0.0:
             raise ValueError("projection onto a zero-probability subspace")
-        kept /= math.sqrt(probability)
+        kept = kept / math.sqrt(probability)
         return probability, StateVector._sparse(state.layout, state._idx[keep], kept)
     kept = _dense_subspace(state._amps, select_mask, select_value)
     probability = _vdot(kept, kept).real
     if probability <= 0.0:
         raise ValueError("projection onto a zero-probability subspace")
     out = np.zeros_like(state._amps)
-    _dense_subspace(out, select_mask, select_value)[...] = kept / math.sqrt(probability)
+    view = _dense_subspace(out, select_mask, select_value)
+    np.divide(kept, math.sqrt(probability), out=view)
     return probability, StateVector._dense(state.layout, out)
 
 
@@ -727,8 +766,7 @@ def subspace_mass(state: StateVector, select_mask: int, select_value: int) -> fl
     if state.mode == "dense":
         kept = _dense_subspace(state._amps, select_mask, select_value)
         return _vdot(kept, kept).real
-    idx, amps = state.arrays()
-    kept = amps[(idx & select_mask) == select_value]
+    kept = state._amps[_selection(state._idx, select_mask, select_value)]
     return _vdot(kept, kept).real
 
 
@@ -784,11 +822,12 @@ def register_law(state: StateVector, register: str | Register) -> RegisterLaw:
             np.arange(marginal.size),
             int(np.flatnonzero(marginal)[-1]),
         )
-    idx, amps = state.arrays()
+    idx, amps = state._idx, state._amps
     values = (idx & reg.mask) >> reg.offset
-    order = np.argsort(values, kind="stable")
-    cumulative = np.cumsum(np.abs(amps[order]) ** 2)
-    return RegisterLaw(cumulative, values[order], idx.size - 1)
+    if not _sorted_under(idx, reg.mask):
+        order = np.argsort(values, kind="stable")
+        values, amps = values[order], amps[order]
+    return RegisterLaw(np.cumsum(np.abs(amps) ** 2), values, idx.size - 1)
 
 
 def collapse_register(
@@ -856,8 +895,8 @@ def reflect_good_subspace(state: StateVector, branch: int) -> StateVector:
     target = good_control(reg, branch) << reg.offset
     out = state._amps.copy()
     if state.mode == "sparse":
-        flip = (state._idx & reg.mask) == target
-        np.negative(out, out=out, where=flip)
+        flip = _selection(state._idx, reg.mask, target)
+        out[flip] = -out[flip]
         return StateVector._sparse(state.layout, state._idx, out)
     _dense_subspace(out, reg.mask, target)[...] *= -1
     return StateVector._dense(state.layout, out)

@@ -74,6 +74,17 @@ def test_distribution_peak_per_amplitude(instance):
     assert peak / AMPLITUDES <= BYTES_PER_AMPLITUDE
 
 
+def test_memory_only_distribution_peak_per_amplitude(instance):
+    # One branch holds every amplitude, so amplification runs on the whole
+    # support: its start state, the previous round and the reflected copy.
+    input_pattern, patterns = instance
+    config = RetrievalConfig(B, GammaMode.memory_only(), shots=10_000, seed=1)
+    state = run_pipeline(input_pattern, patterns, 1.0, 0.0, B)
+    assert state.support_size == AMPLITUDES // 2
+    peak = traced_peak(lambda: simulate_distribution(input_pattern, patterns, config))
+    assert peak / (AMPLITUDES // 2) <= BYTES_PER_AMPLITUDE
+
+
 def test_dense_pipeline_peak_per_basis_state():
     input_pattern, patterns = random_instance(DENSE_N, DENSE_P)
 

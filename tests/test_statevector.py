@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mirrorqam import statevector
 from mirrorqam.errors import DimensionError
 from mirrorqam.patterns import BitPattern
 from mirrorqam.retrieval import amplitude_amplify, apply_difference_encoding
@@ -853,6 +854,88 @@ class TestControlRotationKernel:
             layout, [0b0011, 0b0010], [complex(-0.6, -0.0), 0.8]
         )
         assert_rotations_match_the_gate_sequence(state)
+
+
+def pinned_state(layout, seed, pinned, size, real):
+    """A random sparse state whose top pinned qubits hold one random value.
+
+    Pinning the qubits above a register makes its selections runs of the
+    sorted support; with pinned = 0 the support spreads over every value.
+    Real amplitudes hold +0.0 imaginary parts, whose negation is -0.0.
+    """
+    rng = np.random.default_rng(seed)
+    free = (1 << (layout.total_qubits - min(pinned, layout.total_qubits))) - 1
+    drawn = rng.choice(layout.dim, size=min(size, layout.dim), replace=False)
+    idx = np.unique((drawn & free) | (int(rng.integers(layout.dim)) & ~free))
+    amps = rng.normal(size=idx.size) + (0j if real else 1j * rng.normal(size=idx.size))
+    return StateVector.from_arrays(layout, idx, amps / np.linalg.norm(amps))
+
+
+def assert_selection_by_mask(state, mask, value):
+    """Each selecting kernel against a boolean-mask selection, bit for bit."""
+    idx, amps = state.arrays()
+    keep = (idx & mask) == value
+    # The run applies exactly where the support shares the bits above the mask.
+    shares_high_bits = np.unique(idx >> mask.bit_length()).size == 1
+    run = isinstance(statevector._selection(idx, mask, value), slice)
+    assert run == shares_high_bits
+    kept = amps[keep]
+    mass = np.vdot(kept, kept).real  # one block: every support here is small
+    assert_same_bits(np.array([subspace_mass(state, mask, value)]), np.array([mass]))
+    if not keep.any():
+        with pytest.raises(ValueError, match="zero-probability"):
+            statevector._project(state, mask, value)
+        return
+    probability, got = statevector._project(state, mask, value)
+    assert_same_bits(np.array([probability]), np.array([mass]))
+    assert np.array_equal(got.arrays()[0], idx[keep])
+    assert_same_bits(got.arrays()[1], kept / math.sqrt(mass))
+
+
+class TestSupportRuns:
+    # The run selection of sparse projection, masses, the good-subspace
+    # reflection and the register law, on every register mask and every
+    # qubit mask, against the boolean mask it replaces. pinned = 0 with a
+    # full support is a two-branch state, where registers below the
+    # ancilla take the boolean path; pinned qubits give empty selections.
+    @PROPERTY
+    @given(
+        st.one_of(
+            any_order_layouts(4),
+            st.sampled_from(
+                [CONTROL_BELOW_MEMORY, TWO_ABOVE_CONTROL, MEMORY_ABOVE_CONTROL]
+            ),
+        ),
+        seeds,
+        st.integers(0, 8),
+        st.integers(1, 64),
+        st.booleans(),
+    )
+    @example(MEMORY_ABOVE_CONTROL, 1, 1, 64, False)
+    @example(MEMORY_ABOVE_CONTROL, 2, 4, 64, True)
+    @example(RegisterLayout.retrieval(3, 2), 3, 0, 64, False)
+    @example(TWO_ABOVE_CONTROL, 4, 3, 64, True)
+    def test_runs_equal_the_boolean_mask(self, layout, seed, pinned, size, real):
+        state = pinned_state(layout, seed, pinned, size, real)
+        idx, amps = state.arrays()
+        for reg in layout.registers:
+            for value in range(1 << reg.width):
+                assert_selection_by_mask(state, reg.mask, value << reg.offset)
+            values = (idx & reg.mask) >> reg.offset
+            order = np.argsort(values, kind="stable")
+            law = register_law(state, reg)
+            assert_same_bits(law.cumulative, np.cumsum(np.abs(amps[order]) ** 2))
+            assert np.array_equal(law.outcomes, values[order])
+            assert law.clamp == idx.size - 1
+        for qubit in range(layout.total_qubits):
+            for outcome in (0, 1):
+                assert_selection_by_mask(state, 1 << qubit, outcome << qubit)
+        control = layout.control
+        for branch in (0, 1):
+            good = (idx & control.mask) == (control.mask if branch else 0)
+            got = reflect_good_subspace(state, branch)
+            assert got.arrays()[0] is idx
+            assert_same_bits(got.arrays()[1], np.where(good, -amps, amps))
 
 
 def reference_amplify(state, branch, k):
