@@ -4,10 +4,17 @@ The pipeline prepares the two-branch initial state (memory branch with
 ancilla 0, mirror branch with ancilla 1), rewrites the memory register
 into per-bit agreement words against the classical input, rotates each
 control qubit into a cosine/sine mixture of the counted distance, and
-restores the memory register. Measuring the ancilla selects a branch;
-amplitude amplification then boosts the branch's good control subspace
-(all-0 for branch 0, all-1 for branch 1), after which the memory register
-is measured. A branch-1 result is corrected by bitwise complement.
+restores the memory register. A round picks a branch with the weights
+(gamma, gamma_bar) of the initial state: branch 1 when a uniform draw is
+below gamma_bar. It collapses the ancilla onto that branch; amplitude
+amplification then boosts the branch's good control subspace (all-0 for
+branch 0, all-1 for branch 1), after which the memory register is
+measured. A branch-1 result is corrected by bitwise complement. A branch
+of weight so small that its prepared amplitudes are exactly 0 is absent,
+and a round drawn onto it fails. retrieve, run_retrieval and
+simulate_distribution enter the pipeline through one function, which
+checks the analytic law for retrievable mass first, then resolves the
+weights, runs the pipeline and finds the branches present.
 
 Within either branch, the probability of retrieving stored pattern q at
 Hamming distance d from input i is (1/p) cos^{2b}(pi d / 2n) before
@@ -36,7 +43,6 @@ from .statevector import (
     collapse_register,
     flip_bits,
     good_control,
-    measure_qubit,
     measure_register,
     reflect_about_state,
     reflect_good_subspace,
@@ -45,10 +51,6 @@ from .statevector import (
 )
 
 _ESTIMATE_OFFSETS = (0, 1, -1, 2, -2)
-_NO_RETRIEVABLE_MASS = (
-    "every stored pattern is at maximal distance from the input;"
-    " retrieval is impossible"
-)
 
 
 @dataclass(frozen=True)
@@ -169,9 +171,10 @@ class RetrievalConfig:
 class RetrievalOutcome:
     """Result of one retrieval round.
 
-    A round fails when the control measurement misses the good subspace;
-    the caller decides whether to repeat. On branch 1 the output pattern
-    is the mirror-corrected raw pattern.
+    A round fails when it draws an absent branch or when the control
+    measurement misses the good subspace; the caller decides whether to
+    repeat. On branch 1 the output pattern is the mirror-corrected raw
+    pattern.
     """
 
     ancilla_branch: int
@@ -348,7 +351,10 @@ def analytic_distribution(
     unnormalized = {q: w / patterns.p for q, w in zip(patterns, weights)}
     good_mass = sum(unnormalized.values())
     if good_mass == 0.0:
-        raise ZeroMassError(_NO_RETRIEVABLE_MASS)
+        raise ZeroMassError(
+            "every stored pattern is at maximal distance from the input;"
+            " retrieval is impossible"
+        )
     conditional = {q: w / good_mass for q, w in unnormalized.items()}
     return AnalyticDistribution(unnormalized, conditional, good_mass)
 
@@ -417,22 +423,24 @@ def _amplify_branch(
     return p_good, k, amplitude_amplify(start, branch, k)
 
 
-def _retrieval_pipeline(
+def _weighted_pipeline(
     input_pattern: BitPattern, patterns: PatternSet, config: RetrievalConfig
-) -> StateVector:
-    """run_pipeline under the config's branch weights, after the zero-mass guard.
+) -> tuple[AnalyticDistribution, float, StateVector, list[int]]:
+    """(law, gamma_bar, pipeline state, present branches) under the config.
 
-    The analytic weight (1/p) cos^{2b}(pi d / 2n) is zero exactly when
-    d = n, so an instance has no retrievable mass exactly when every
-    stored pattern is the complement of the input; as patterns are
-    distinct, that is a memory holding the complement alone.
+    The analytic law comes first, so an instance without retrievable mass
+    raises ZeroMassError before the branch weights are resolved. A branch
+    is present when the state holds ancilla mass on it; one whose prepared
+    amplitudes sqrt(weight / p) are exactly 0 is absent.
     """
+    law = analytic_distribution(input_pattern, patterns, config.b)
     gamma, gamma_bar = resolve_gamma(config.gamma_mode, patterns)
-    if patterns.patterns == (input_pattern.mirror(),):
-        raise ZeroMassError(_NO_RETRIEVABLE_MASS)
-    return run_pipeline(
+    state = run_pipeline(
         input_pattern, patterns, gamma, gamma_bar, config.b, config.representation
     )
+    anc = state.layout.ancilla
+    present = [b for b in (0, 1) if subspace_mass(state, anc.mask, b << anc.offset)]
+    return law, gamma_bar, state, present
 
 
 def _corrected(raw: BitPattern, branch: int) -> BitPattern:
@@ -442,14 +450,14 @@ def _corrected(raw: BitPattern, branch: int) -> BitPattern:
 
 def _read_out(
     state: StateVector, branch: int, rng
-) -> tuple[BitPattern, BitPattern] | None:
-    """Measure controls, then memory if all read branch: (raw, corrected) or None."""
+) -> tuple[bool, BitPattern | None, BitPattern | None]:
+    """Measure controls, then memory if all read branch: (succeeded, raw, corrected)."""
     control = state.layout.control
     word, state = measure_register(state, control, rng)
     if BitPattern.from_string(word).value != good_control(control, branch):
-        return None
+        return False, None, None
     raw = BitPattern.from_string(measure_register(state, "memory", rng)[0])
-    return raw, _corrected(raw, branch)
+    return True, raw, _corrected(raw, branch)
 
 
 def retrieve(
@@ -458,28 +466,35 @@ def retrieve(
     config: RetrievalConfig,
     rng=None,
     round_index: int = 0,
-    state: StateVector | None = None,
+    state: tuple[float, StateVector, list[int]] | None = None,
 ) -> RetrievalOutcome:
     """One retrieval round.
 
-    Runs the pipeline, measures the ancilla to pick a branch, amplifies
-    toward that branch's good subspace, measures the controls, and, when
-    they land in the good subspace, measures the memory register. Branch-1
-    results are mirror-corrected. round_index only matters in estimate
-    mode, where it varies the iteration count across retries. state, when
-    given, must be the pipeline output for these arguments; the round then
-    starts from it instead of recomputing it.
+    Runs the pipeline, draws the branch from the weights (branch 1 when a
+    uniform draw is below gamma_bar, as simulate_distribution draws it),
+    collapses the ancilla onto it, amplifies toward that branch's good
+    subspace, measures the controls, and, when they land in the good
+    subspace, measures the memory register. Branch-1 results are
+    mirror-corrected. A round drawn onto an absent branch fails with no
+    amplification and good_probability_before 0.0. round_index only
+    matters in estimate mode, where it varies the iteration count across
+    retries. state, when given, must be the (gamma_bar, pipeline state,
+    present branches) of these arguments, as _weighted_pipeline gives
+    them; the round then starts from it instead of recomputing it.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    if state is None:
-        state = _retrieval_pipeline(input_pattern, patterns, config)
-    branch, state = measure_qubit(state, state.layout.ancilla.offset, rng)
-    p_good, k, state = _amplify_branch(state, branch, config, round_index)
-    readout = _read_out(state, branch, rng)
-    if readout is None:
-        return RetrievalOutcome(branch, k, p_good, False, None, None)
-    return RetrievalOutcome(branch, k, p_good, True, *readout)
+    gamma_bar, pipeline, present = (
+        state or _weighted_pipeline(input_pattern, patterns, config)[1:]
+    )
+    branch = 1 if rng.random() < gamma_bar else 0
+    if branch not in present:
+        return RetrievalOutcome(branch, 0, 0.0, False, None, None)
+    start = collapse_qubit(pipeline, pipeline.layout.ancilla.offset, branch)[1]
+    del pipeline  # freed here unless the caller keeps it for further rounds
+    p_good, k, amplified = _amplify_branch(start, branch, config, round_index)
+    del start  # the readout peaks without the start state
+    return RetrievalOutcome(branch, k, p_good, *_read_out(amplified, branch, rng))
 
 
 def run_retrieval(
@@ -491,15 +506,15 @@ def run_retrieval(
 ) -> RetrievalRun:
     """Repeat retrieval rounds until one succeeds or the budget is spent.
 
-    The deterministic pipeline runs once and every round starts from its
-    output. Failed rounds are reported, not hidden, since cost
-    accounting counts them.
+    The deterministic pipeline and its branch presence are computed once,
+    and every round starts from them. Failed rounds are reported, not
+    hidden, since cost accounting counts them.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    state = _retrieval_pipeline(input_pattern, patterns, config)
+    state = _weighted_pipeline(input_pattern, patterns, config)[1:]
     rounds: list[RetrievalOutcome] = []
     for index in range(max_rounds):
         outcome = retrieve(
@@ -526,36 +541,35 @@ def simulate_distribution(
 ) -> DistributionReport:
     """Monte-Carlo retrieval shots compared against the analytic law.
 
-    The pipeline and the per-branch amplification are deterministic, so
-    both paths compute each branch's post-amplification state once. A
-    branch absent from the pipeline state (its prepared amplitudes
-    sqrt(weight / p) are exactly 0) is not collapsed, and a shot drawn
-    onto it is a failed round. The default path draws all outcomes in
-    bulk. strict mode replays retrieve's readout shot by shot, with the
-    same rng order (branch, control, then memory after a good control
-    outcome) and the same outcomes as measure_register, but builds each
-    branch's control and memory laws once (register_law, as lists) and
-    spends one bisection per draw; it exists to reproduce golden files.
+    The pipeline comes from _weighted_pipeline, as retrieve's does, and it
+    and the per-branch amplification are deterministic, so both paths
+    compute each branch's post-amplification state once. Each shot draws
+    its branch as a retrieve round does, branch 1 when a uniform draw is
+    below gamma_bar. A branch absent from the pipeline state (its prepared
+    amplitudes sqrt(weight / p) are exactly 0) is not collapsed, and a
+    shot drawn onto it is a failed round, as such a retrieve round is. The
+    default path draws all outcomes in bulk. strict mode replays retrieve
+    shot by shot, draw for draw: the same rng order (branch, control, then
+    memory after a good control outcome) and the same outcomes as
+    retrieve, but it builds each branch's control and memory laws once
+    (register_law, as lists) and spends one bisection per draw; it exists
+    to reproduce golden files.
     Both paths count memory values per branch (strict in first-draw
     order, bulk in ascending order); the total variation distance is an
     exactly rounded math.fsum, so it does not depend on set order.
     """
-    analytic = analytic_distribution(input_pattern, patterns, config.b)
-    gamma, gamma_bar = resolve_gamma(config.gamma_mode, patterns)
+    analytic, gamma_bar, state, present = _weighted_pipeline(
+        input_pattern, patterns, config
+    )
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    state = run_pipeline(
-        input_pattern, patterns, gamma, gamma_bar, config.b, config.representation
-    )
-    layout = state.layout
-    mem, control, anc = layout.memory, layout.control, layout.ancilla
+    mem, control = state.layout.memory, state.layout.control
 
     # Collapse every branch the state holds first, so the two-branch state
     # is released before amplification builds its states.
     collapsed = {
-        branch: collapse_qubit(state, anc.offset, branch)[1]
-        for branch in (0, 1)
-        if subspace_mass(state, anc.mask, branch << anc.offset) > 0.0
+        branch: collapse_qubit(state, state.layout.ancilla.offset, branch)[1]
+        for branch in present
     }
     del state
     branch_states: dict[int, StateVector] = {}

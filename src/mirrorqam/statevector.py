@@ -23,10 +23,15 @@ every entry shares the bits above them (a one-branch state, or any
 selection on the top register); otherwise they select by a boolean index
 mask. Either way they take the same entries in the same order, so the
 results agree bit for bit; a run's projection keeps a view of its input's
-indices. A gate that keeps the support passes its input's index array on
-unchanged, so the states of one amplification run share their axis's
-index array, and the reflections and the inner product recognise that by
-identity before they compare or look up indices. Each gate computes its
+indices. One function, _select, makes these selections in both modes (a
+dense vector is viewed through _blocks over the mask and keyed by the
+value's rows), so masses, a projection's mass and the good-subspace
+reflection are written once; the reflection negates in both modes, so
+their signed zeros agree. A gate that keeps the support passes its
+input's index array on unchanged, so the states of one amplification run
+share their axis's index array, and the reflections and the inner
+product recognise that by identity before they compare or look up
+indices. Each gate computes its
 output amplitudes in one array and updates it in place (the good-subspace
 reflection negates inside one copy, the reflection about a state
 subtracts the state from the scaled axis, a projection renormalizes the
@@ -400,22 +405,6 @@ def _blocks(amps: np.ndarray, offset: int, width: int) -> np.ndarray:
     return amps.reshape(-1, 1 << width, 1 << offset)
 
 
-def _dense_subspace(amps: np.ndarray, mask: int, value: int) -> np.ndarray:
-    """View of the dense amplitudes at basis indices i with (i & mask) == value.
-
-    The mask must cover contiguous qubits, as a qubit's or a register's
-    does, and the value must lie under the mask.
-    """
-    offset = max((mask & -mask).bit_length() - 1, 0)
-    width = mask.bit_count()
-    if mask != ((1 << width) - 1) << offset or value & ~mask:
-        raise ValueError(
-            f"dense mode selects a value under a contiguous mask,"
-            f" got value {value:#x} under mask {mask:#x}"
-        )
-    return _blocks(amps, offset, width)[:, value >> offset, :]
-
-
 def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
     """<a|b> of equal-shape arrays: np.vdot summed over _DOT_BLOCK blocks."""
     a, b = a.reshape(-1), b.reshape(-1)
@@ -472,6 +461,29 @@ def _selection(idx: np.ndarray, mask: int, value: int) -> slice | np.ndarray:
     first = (int(idx[0]) >> top << top) | value
     last = first | ((mask & -mask) - 1)
     return slice(int(idx.searchsorted(first)), int(idx.searchsorted(last, "right")))
+
+
+def _select(
+    amps: np.ndarray, idx: np.ndarray | None, mask: int, value: int
+) -> tuple[np.ndarray, slice | tuple | np.ndarray]:
+    """(view, key): view[key] are the amplitudes at indices i with (i & mask) == value.
+
+    Sparse (idx the support): view is amps and key is _selection's slice
+    or boolean mask. Dense (idx None): view is amps through _blocks over
+    the mask, whose qubits must be contiguous as a qubit's or a register's
+    are, and key picks the value's rows. view[key] is a view of amps except
+    on the boolean path, and view[key] = x writes through on every path.
+    """
+    if idx is not None:
+        return amps, _selection(idx, mask, value)
+    offset = max((mask & -mask).bit_length() - 1, 0)
+    width = mask.bit_count()
+    if mask != ((1 << width) - 1) << offset or value & ~mask:
+        raise ValueError(
+            f"dense mode selects a value under a contiguous mask,"
+            f" got value {value:#x} under mask {mask:#x}"
+        )
+    return _blocks(amps, offset, width), (slice(None), value >> offset)
 
 
 def _nonzero(layout: RegisterLayout, idx: np.ndarray, amps: np.ndarray) -> StateVector:
@@ -740,22 +752,17 @@ def collapse_qubit(
 def _project(
     state: StateVector, select_mask: int, select_value: int
 ) -> tuple[float, StateVector]:
-    if state.mode == "sparse":
-        keep = _selection(state._idx, select_mask, select_value)
-        kept = state._amps[keep]
-        probability = _vdot(kept, kept).real
-        if probability <= 0.0:
-            raise ValueError("projection onto a zero-probability subspace")
-        kept = kept / math.sqrt(probability)
-        return probability, StateVector._sparse(state.layout, state._idx[keep], kept)
-    kept = _dense_subspace(state._amps, select_mask, select_value)
+    view, key = _select(state._amps, state._idx, select_mask, select_value)
+    kept = view[key]
     probability = _vdot(kept, kept).real
     if probability <= 0.0:
         raise ValueError("projection onto a zero-probability subspace")
-    out = np.zeros_like(state._amps)
-    view = _dense_subspace(out, select_mask, select_value)
-    np.divide(kept, math.sqrt(probability), out=view)
-    return probability, StateVector._dense(state.layout, out)
+    if state.mode == "sparse":
+        kept = kept / math.sqrt(probability)
+        return probability, StateVector._sparse(state.layout, state._idx[key], kept)
+    out = np.zeros_like(view)
+    np.divide(kept, math.sqrt(probability), out=out[key])
+    return probability, StateVector._dense(state.layout, out.reshape(-1))
 
 
 def subspace_mass(state: StateVector, select_mask: int, select_value: int) -> float:
@@ -763,10 +770,8 @@ def subspace_mass(state: StateVector, select_mask: int, select_value: int) -> fl
 
     In dense mode the mask must cover contiguous qubits.
     """
-    if state.mode == "dense":
-        kept = _dense_subspace(state._amps, select_mask, select_value)
-        return _vdot(kept, kept).real
-    kept = state._amps[_selection(state._idx, select_mask, select_value)]
+    view, key = _select(state._amps, state._idx, select_mask, select_value)
+    kept = view[key]
     return _vdot(kept, kept).real
 
 
@@ -894,11 +899,10 @@ def reflect_good_subspace(state: StateVector, branch: int) -> StateVector:
     reg = state.layout.control
     target = good_control(reg, branch) << reg.offset
     out = state._amps.copy()
+    view, key = _select(out, state._idx, reg.mask, target)
+    view[key] = -view[key]
     if state.mode == "sparse":
-        flip = _selection(state._idx, reg.mask, target)
-        out[flip] = -out[flip]
         return StateVector._sparse(state.layout, state._idx, out)
-    _dense_subspace(out, reg.mask, target)[...] *= -1
     return StateVector._dense(state.layout, out)
 
 

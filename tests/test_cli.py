@@ -230,6 +230,17 @@ class TestRetrieveCommand:
         )
         assert result.returncode == 4
 
+    @pytest.mark.parametrize("command", ["distribution", "retrieve"])
+    def test_zero_mass_is_found_before_infeasible_cloning(self, pattern_file, command):
+        # The memory 11 admits no cloning weights and holds no mass for the
+        # input 00; both commands check the mass first.
+        path = pattern_file("11\n")
+        result = run_cli(
+            command, "--patterns", path, "--input", "00", "--b", "1",
+            "--gamma-mode", "cloning",
+        )
+        assert result.returncode == 4
+
     def test_fixed_amplification_mode(self, pattern_file):
         path = pattern_file("00\n01\n")
         result = run_cli(

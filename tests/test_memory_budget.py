@@ -20,12 +20,16 @@ from mirrorqam.retrieval import (
     GammaMode,
     RetrievalConfig,
     run_pipeline,
+    run_retrieval,
     simulate_distribution,
 )
 
 N, P, B = 12, 256, 8
 AMPLITUDES = 2 * P << B  # both branches, every control value
 BYTES_PER_AMPLITUDE = 64
+# run_retrieval keeps the pipeline state for its rounds beside each round's
+# collapsed start, amplified states and readout projections.
+RETRIEVAL_BYTES_PER_AMPLITUDE = 74
 DENSE_N, DENSE_P, DENSE_B = 10, 64, 6
 BASIS_STATES = 1 << (DENSE_N + DENSE_B + 1)  # memory, control and ancilla qubits
 DENSE_BYTES_PER_BASIS_STATE = 48
@@ -83,6 +87,14 @@ def test_memory_only_distribution_peak_per_amplitude(instance):
     assert state.support_size == AMPLITUDES // 2
     peak = traced_peak(lambda: simulate_distribution(input_pattern, patterns, config))
     assert peak / (AMPLITUDES // 2) <= BYTES_PER_AMPLITUDE
+
+
+def test_memory_only_retrieval_peak_per_amplitude(instance):
+    # A round must not keep its collapsed start alive through the readout.
+    input_pattern, patterns = instance
+    config = RetrievalConfig(B, GammaMode.memory_only(), seed=1)
+    peak = traced_peak(lambda: run_retrieval(input_pattern, patterns, config))
+    assert peak / (AMPLITUDES // 2) <= RETRIEVAL_BYTES_PER_AMPLITUDE
 
 
 def test_dense_pipeline_peak_per_basis_state():

@@ -20,6 +20,7 @@ from mirrorqam.retrieval import (
     AmplificationMode,
     GammaMode,
     RetrievalConfig,
+    RetrievalOutcome,
     amplified_success_probability,
     amplitude_amplify,
     analytic_distribution,
@@ -565,6 +566,33 @@ class TestSimulateDistribution:
         assert report.branch_shots == {0: 0, 1: 40}
         assert report.amplification_iterations.keys() == {0}
         assert report.failed_rounds == 40 and report.successes == 0
+        # A retrieve round draws the branch the same way and fails on it.
+        outcome = retrieve(bp("000"), ps("100", "010"), config, rng=Zeros())
+        assert outcome == RetrievalOutcome(1, 0, 0.0, False, None, None)
+
+    @pytest.mark.parametrize("mode", ["sparse", "dense"])
+    def test_retrieve_and_strict_replay_draw_the_branch_alike(self, mode):
+        # gamma_bar is 0.9, but the pipeline's ancilla mass on branch 1 is
+        # 0.9000000000000001, so a first draw of 0.9 lies between the two.
+        # Both drivers compare it with gamma_bar: branch 0.
+        class FirstDraw:
+            def __init__(self):
+                self.draws = iter([0.9])
+
+            def random(self):
+                return next(self.draws, 0.5)
+
+        x, patterns = bp("0111"), ps("0011", "0101", "0110")
+        config = RetrievalConfig(
+            b=1, gamma_mode=GammaMode.fixed(0.1), shots=1, representation=mode
+        )
+        assert resolve_gamma(config.gamma_mode, patterns)[1] == 0.9
+        state = run_pipeline(x, patterns, 0.1, 0.9, 1, mode)
+        ancilla = state.layout.ancilla.offset
+        assert probability_of_subspace(state, lambda i: i >> ancilla) > 0.9
+        assert retrieve(x, patterns, config, FirstDraw()).ancilla_branch == 0
+        report = simulate_distribution(x, patterns, config, FirstDraw(), strict=True)
+        assert report.branch_shots == {0: 1, 1: 0}
 
 
 def per_shot_replay(inp, patterns, config):

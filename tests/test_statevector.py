@@ -337,6 +337,21 @@ class TestReflections:
             st, 0.0
         )
 
+    @pytest.mark.parametrize("branch", [0, 1])
+    def test_good_subspace_modes_agree_bit_for_bit(self, branch):
+        # Real amplitudes hold +0.0 imaginary parts, which the negation of a
+        # good amplitude turns into -0.0 in either mode.
+        lay = RegisterLayout.retrieval(2, 2)
+        amplitudes = {0b00000: 0.5 + 0j, 0b01100: 0.5, 0b00101: 0.5, 0b10010: 0.5}
+        sparse, dense = (
+            reflect_good_subspace(
+                StateVector.from_amplitudes(lay, amplitudes, mode), branch
+            )
+            for mode in ("sparse", "dense")
+        )
+        assert np.array_equal(sparse.arrays()[0], dense.arrays()[0])
+        assert_same_bits(sparse.arrays()[1], dense.arrays()[1])
+
 
 class TestInnerProduct:
     def test_self_is_one(self):
