@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DimensionError, InfeasibleCloningError, ZeroMassError
 from .memory import check_branch_weights, memory_overlap, solve_efficiencies
-from .patterns import BitPattern, PatternSet, check_width, hamming_distance
+from .patterns import BitPattern, PatternSet, check_width
 from .statevector import (
     MAX_AMPLITUDES,
     RegisterLayout,
@@ -328,12 +328,15 @@ def _law_weights(
     """
     check_width(patterns.n, input=input_pattern.n)
     n = patterns.n
-    distances = [hamming_distance(input_pattern, q) for q in patterns]
-    # cos(pi / 2) is not exactly 0, hence the d = n case; for b = 0, x ** 0 is 1.0.
-    return [
-        0.0 if d == n and b else math.cos(math.pi * d / (2 * n)) ** (2 * b)
-        for d in distances
-    ]
+    x = input_pattern.value
+    distances = [(x ^ q.value).bit_count() for q in patterns]
+    # One weight per distinct distance. cos(pi / 2) is not exactly 0, hence
+    # the d = n case; for b = 0, x ** 0 is 1.0.
+    by_distance = {
+        d: 0.0 if d == n and b else math.cos(math.pi * d / (2 * n)) ** (2 * b)
+        for d in set(distances)
+    }
+    return [by_distance[d] for d in distances]
 
 
 def analytic_distribution(
@@ -349,14 +352,20 @@ def analytic_distribution(
         raise ValueError("b must be nonnegative")
     weights = _law_weights(input_pattern, patterns, b)
     unnormalized = {q: w / patterns.p for q, w in zip(patterns, weights)}
-    good_mass = sum(unnormalized.values())
+    good_mass = _good_mass(unnormalized.values())
+    conditional = {q: w / good_mass for q, w in unnormalized.items()}
+    return AnalyticDistribution(unnormalized, conditional, good_mass)
+
+
+def _good_mass(masses) -> float:
+    """The sum of the per-pattern good masses w / p; ZeroMassError when it is 0."""
+    good_mass = sum(masses)
     if good_mass == 0.0:
         raise ZeroMassError(
             "every stored pattern is at maximal distance from the input;"
             " retrieval is impossible"
         )
-    conditional = {q: w / good_mass for q, w in unnormalized.items()}
-    return AnalyticDistribution(unnormalized, conditional, good_mass)
+    return good_mass
 
 
 def good_subspace_probability(state: StateVector, branch: int) -> float:
@@ -425,22 +434,25 @@ def _amplify_branch(
 
 def _weighted_pipeline(
     input_pattern: BitPattern, patterns: PatternSet, config: RetrievalConfig
-) -> tuple[AnalyticDistribution, float, StateVector, list[int]]:
-    """(law, gamma_bar, pipeline state, present branches) under the config.
+) -> tuple[float, StateVector, list[int]]:
+    """(gamma_bar, pipeline state, present branches) under the config.
 
-    The analytic law comes first, so an instance without retrievable mass
-    raises ZeroMassError before the branch weights are resolved. A branch
-    is present when the state holds ancilla mass on it; one whose prepared
-    amplitudes sqrt(weight / p) are exactly 0 is absent.
+    The good mass of the analytic law comes first, so an instance without
+    retrievable mass raises ZeroMassError, as analytic_distribution does,
+    before the branch weights are resolved; the law's dicts are left to
+    the callers that read them. A branch is present when the state holds
+    ancilla mass on it; one whose prepared amplitudes sqrt(weight / p) are
+    exactly 0 is absent.
     """
-    law = analytic_distribution(input_pattern, patterns, config.b)
+    weights = _law_weights(input_pattern, patterns, config.b)
+    _good_mass(w / patterns.p for w in weights)
     gamma, gamma_bar = resolve_gamma(config.gamma_mode, patterns)
     state = run_pipeline(
         input_pattern, patterns, gamma, gamma_bar, config.b, config.representation
     )
     anc = state.layout.ancilla
     present = [b for b in (0, 1) if subspace_mass(state, anc.mask, b << anc.offset)]
-    return law, gamma_bar, state, present
+    return gamma_bar, state, present
 
 
 def _corrected(raw: BitPattern, branch: int) -> BitPattern:
@@ -485,7 +497,7 @@ def retrieve(
     if rng is None:
         rng = np.random.default_rng(config.seed)
     gamma_bar, pipeline, present = (
-        state or _weighted_pipeline(input_pattern, patterns, config)[1:]
+        state or _weighted_pipeline(input_pattern, patterns, config)
     )
     branch = 1 if rng.random() < gamma_bar else 0
     if branch not in present:
@@ -514,7 +526,7 @@ def run_retrieval(
         raise ValueError("max_rounds must be at least 1")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    state = _weighted_pipeline(input_pattern, patterns, config)[1:]
+    state = _weighted_pipeline(input_pattern, patterns, config)
     rounds: list[RetrievalOutcome] = []
     for index in range(max_rounds):
         outcome = retrieve(
@@ -524,6 +536,23 @@ def run_retrieval(
         if outcome.succeeded:
             return RetrievalRun(outcome, tuple(rounds), index)
     return RetrievalRun(None, tuple(rounds), max_rounds)
+
+
+def _choice_draws(rng, probs: np.ndarray, count: int) -> np.ndarray:
+    """rng.choice(probs.size, size=count, p=probs / probs.sum()), in ascending order.
+
+    The same cdf and the same uniforms as choice, so the same draws; only
+    their counts are read. The uniforms are sorted before the binary
+    search, which then walks the cdf in order instead of at random.
+    """
+    # The cdf and the uniforms die on return, as choice's do: held through
+    # the caller's loop, they moved later full-size dense arrays in the
+    # heap and doubled the page faults of dense runs.
+    cdf = np.cumsum(probs / probs.sum())
+    cdf /= cdf[-1]
+    uniforms = rng.random(count)
+    uniforms.sort()
+    return cdf.searchsorted(uniforms, side="right")
 
 
 def _frequencies(counter: Counter) -> dict:
@@ -558,9 +587,8 @@ def simulate_distribution(
     order, bulk in ascending order); the total variation distance is an
     exactly rounded math.fsum, so it does not depend on set order.
     """
-    analytic, gamma_bar, state, present = _weighted_pipeline(
-        input_pattern, patterns, config
-    )
+    analytic = analytic_distribution(input_pattern, patterns, config.b)
+    gamma_bar, state, present = _weighted_pipeline(input_pattern, patterns, config)
     if rng is None:
         rng = np.random.default_rng(config.seed)
     mem, control = state.layout.memory, state.layout.control
@@ -617,7 +645,7 @@ def simulate_distribution(
                 continue
             indices, amps = branch_states[branch].arrays()
             probs = np.abs(amps) ** 2
-            draws = indices[rng.choice(indices.size, size=count, p=probs / probs.sum())]
+            draws = indices[_choice_draws(rng, probs, count)]
             target = good_control(control, branch) << control.offset
             good = (draws & control.mask) == target
             failed += int(np.sum(~good))

@@ -16,6 +16,12 @@ only when its amplitudes are exactly 0, in either mode. Every gate is array
 arithmetic over the whole support: flip_bits (NOT on every qubit of a mask
 at once) and XOR rewrite indices and re-sort, the distance phase is a
 masked popcount, and the Hadamard pairs each index with its partner.
+XOR re-sorts by one argsort of the whole support. flip_bits leaves every
+index in its run of equal bits above the highest register its mask
+touches; where those runs have one length they are the rows of a 2-D
+view, rows with equal bits below the cut share one argsort (in a
+retrieval state, one per branch), and the output is gathered row block
+by row block, equal bit for bit to the one global argsort it replaces.
 Projection, masses, the good-subspace reflection and register_law select
 the entries with (i & mask) == value as one run of the sorted support,
 found by two binary searches, when the mask covers contiguous qubits and
@@ -109,6 +115,10 @@ MAX_AMPLITUDES = 1 << _MAX_DENSE_QUBITS
 _MAX_QUBITS = 63  # basis indices are int64
 
 _SQRT_HALF = math.sqrt(0.5)
+# Below this many entries, on average per stretch of rows, one argsort of the
+# whole support is cheaper than _flipped_rows's row checks and per-stretch
+# calls (in-process, the two meet near 3 000 entries).
+_ROW_SORT_MIN = 4096
 # The largest power of two that OpenBLAS's dot product keeps on the
 # calling thread (it splits products of more than 10 000 elements).
 _DOT_BLOCK = 8192
@@ -499,15 +509,66 @@ def _permuted(state: StateVector, flips) -> StateVector:
 
     flips is one mask or an array of masks aligned with the support.
     """
-    # Flipping a bit swaps the two halves of aligned index blocks, so the
-    # flipped indices lie in ascending or descending runs; the stable kind
-    # (timsort for int64) merges such runs in near-linear time. They are
-    # dropped once sorted: a gather of the originals, flipped in place, is
-    # the sorted indices.
+    # Flipping a bit swaps the two halves of aligned index blocks; the
+    # stable kind (timsort for int64) finds the sorted stretches this leaves
+    # and merges them, in near-linear time when they are long (apply_xor on
+    # a high target). A mask over a register of random words scrambles the
+    # order within every run of equal higher bits, and sorting that costs up
+    # to O(N log N) comparisons; flip_bits sorts such supports by rows
+    # instead (_flipped_rows). The flipped keys are dropped once sorted: a
+    # gather of the originals, flipped in place, is the sorted indices.
     order = np.argsort(state._idx ^ flips, kind="stable")
     idx = state._idx[order]
     idx ^= flips[order] if isinstance(flips, np.ndarray) else flips
     return StateVector._sparse(state.layout, idx, state._amps[order])
+
+
+def _flipped_rows(state: StateVector, mask: int) -> StateVector | None:
+    """flip_bits of a sparse state by rows, or None where it has none.
+
+    XOR with mask keeps every index in its run of equal bits above cut, the
+    end of the highest register that mask touches, so the sorted output is
+    each run sorted on its own. When the runs have one length they are the
+    rows of a (runs, length) view, and a row's order depends only on its
+    bits under cut: one argsort serves each stretch of consecutive rows
+    with equal bits under cut (a retrieval state's branch), and gathers
+    every row of it. None, for one argsort of the whole support, when the
+    runs differ in length or the stretches average fewer than
+    _ROW_SORT_MIN entries (small supports never look for rows).
+    """
+    idx = state._idx
+    if idx.size < _ROW_SORT_MIN:
+        return None
+    top = mask.bit_length()
+    cut = next(r.offset + r.width for r in state.layout.registers if r.offset + r.width >= top)
+    low = (1 << cut) - 1
+    # The runs are rows when the first run's length divides the support and
+    # every row's first and last entries share bits above cut that no other
+    # row has: no full-size array is read or made to find them.
+    length = int(idx.searchsorted(int(idx[0]) | low, "right"))
+    if idx.size % length:
+        return None
+    rows = idx.reshape(-1, length)
+    heads = rows[:, 0] >> cut
+    if not (np.array_equal(heads, rows[:, -1] >> cut) and np.all(heads[1:] != heads[:-1])):
+        return None
+    differs = rows[1:] ^ rows[:-1]
+    differs &= low
+    starts = [0, *(np.flatnonzero(differs.any(axis=1)) + 1).tolist(), len(rows)]
+    del differs
+    if (len(starts) - 1) * _ROW_SORT_MIN > idx.size:
+        return None
+    amps = state._amps.reshape(rows.shape)
+    out_idx = np.empty(rows.shape, dtype=np.int64)
+    out_amps = np.empty(rows.shape, dtype=np.complex128)
+    for start, end in zip(starts, starts[1:]):
+        keys = rows[start] ^ mask
+        order = np.argsort(keys)  # the keys are distinct, so any kind agrees
+        # Each row's bits above cut over the stretch's sorted bits below it.
+        np.bitwise_or(rows[start:end, :1] & ~low, keys[order] & low, out=out_idx[start:end])
+        # mode="clip" writes straight into out; the default mode buffers it.
+        np.take(amps[start:end], order, axis=1, out=out_amps[start:end], mode="clip")
+    return StateVector._sparse(state.layout, out_idx.reshape(-1), out_amps.reshape(-1))
 
 
 def flip_bits(state: StateVector, mask: int) -> StateVector:
@@ -516,7 +577,8 @@ def flip_bits(state: StateVector, mask: int) -> StateVector:
     if not 0 <= mask < state.layout.dim:
         raise IndexError(f"mask {mask:#x} reaches outside the {total}-qubit layout")
     if state.mode == "sparse":
-        return _permuted(state, mask)
+        flipped = _flipped_rows(state, mask)
+        return _permuted(state, mask) if flipped is None else flipped
     # Axis k of the (2,) * total view is qubit total - 1 - k.
     axes = tuple(total - 1 - q for q in range(total) if (mask >> q) & 1)
     flipped = np.flip(state._amps.reshape((2,) * total), axis=axes)

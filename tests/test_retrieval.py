@@ -570,6 +570,23 @@ class TestSimulateDistribution:
         outcome = retrieve(bp("000"), ps("100", "010"), config, rng=Zeros())
         assert outcome == RetrievalOutcome(1, 0, 0.0, False, None, None)
 
+    def test_bulk_counts_equal_generator_choice_on_wide_supports(self):
+        # The bulk path sorts its uniforms before it searches the cdf; its
+        # counts must stay those of Generator.choice, on branch supports of
+        # over 1e5 entries (the golden files cover only small ones).
+        rng = np.random.default_rng(29)
+        n, p = 12, 400
+        words = rng.choice(1 << n, size=p, replace=False).tolist()
+        patterns = PatternSet(tuple(BitPattern(w, n) for w in words))
+        inp = BitPattern(int(rng.integers(1 << n)), n)
+        config = RetrievalConfig(
+            b=8, gamma_mode=GammaMode.fixed(0.5), shots=30_000, seed=31
+        )
+        want, sizes = choice_counts(inp, patterns, config)
+        assert min(sizes) >= 100_000
+        report = simulate_distribution(inp, patterns, config)
+        assert report.empirical_counts == want
+
     @pytest.mark.parametrize("mode", ["sparse", "dense"])
     def test_retrieve_and_strict_replay_draw_the_branch_alike(self, mode):
         # gamma_bar is 0.9, but the pipeline's ancilla mass on branch 1 is
@@ -593,6 +610,35 @@ class TestSimulateDistribution:
         assert retrieve(x, patterns, config, FirstDraw()).ancilla_branch == 0
         report = simulate_distribution(x, patterns, config, FirstDraw(), strict=True)
         assert report.branch_shots == {0: 1, 1: 0}
+
+
+def choice_counts(inp, patterns, config):
+    """The bulk path's per-pattern counts, drawn by Generator.choice.
+
+    Per branch, in branch order: the branch's share of one uniform per shot
+    below gamma_bar, then rng.choice over the amplified branch state's
+    support with its Born masses, as the bulk path drew before it sorted
+    its uniforms. Returns the counts and the branch support sizes.
+    """
+    gamma, gamma_bar = resolve_gamma(config.gamma_mode, patterns)
+    state = run_pipeline(inp, patterns, gamma, gamma_bar, config.b)
+    layout = state.layout
+    rng = np.random.default_rng(config.seed)
+    branches = rng.random(config.shots) < gamma_bar
+    counts, sizes = Counter(), []
+    for branch in (0, 1):
+        start = collapse_qubit(state, layout.ancilla.offset, branch)[1]
+        k = optimal_iterations(good_subspace_probability(start, branch))
+        idx, amps = amplitude_amplify(start, branch, k).arrays()
+        sizes.append(idx.size)
+        probs = np.abs(amps) ** 2
+        count = int(np.count_nonzero(branches == branch))
+        draws = idx[rng.choice(idx.size, size=count, p=probs / probs.sum())]
+        good = (draws & layout.control.mask) == (layout.control.mask if branch else 0)
+        for value in ((draws[good] & layout.memory.mask) >> layout.memory.offset).tolist():
+            raw = BitPattern(value, patterns.n)
+            counts[raw.mirror() if branch else raw] += 1
+    return dict(counts), sizes
 
 
 def per_shot_replay(inp, patterns, config):

@@ -1,5 +1,6 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,12 @@ from hypothesis import strategies as st
 
 from mirrorqam import statevector
 from mirrorqam.errors import DimensionError
-from mirrorqam.patterns import BitPattern
-from mirrorqam.retrieval import amplitude_amplify, apply_difference_encoding
+from mirrorqam.patterns import BitPattern, PatternSet
+from mirrorqam.retrieval import (
+    amplitude_amplify,
+    apply_difference_encoding,
+    prepare_initial,
+)
 from mirrorqam.statevector import (
     NORM_TOLERANCE,
     RegisterLayout,
@@ -1022,3 +1027,156 @@ class TestAmplificationKernels:
             kept_good = (first_idx & control.mask) == target
             assert np.array_equal(first_idx[kept_good], idx[good])
             assert np.all(np.abs(first_amps[~kept_good]) <= 1e-15)
+
+
+def argsort_flip(state, mask):
+    """flip_bits of a sparse state by one stable argsort of its flipped support."""
+    idx, amps = state.arrays()
+    order = np.argsort(idx ^ mask, kind="stable")
+    return idx[order] ^ mask, amps[order]
+
+
+def equal_runs(state, mask):
+    """Whether the runs of equal bits above the highest register mask touches
+    have one length (a mask of 0 touches none; the lowest register is used)."""
+    layout = state.layout
+    cut = max(
+        (r.offset + r.width for r in layout.registers if r.mask & mask),
+        default=layout.registers[0].width,
+    )
+    counts = np.unique(state.arrays()[0] >> cut, return_counts=True)[1]
+    return bool(np.all(counts == counts[0]))
+
+
+def assert_flip_by_rows(state, mask, rows):
+    """Sparse flip_bits against argsort_flip, bit for bit, with every support
+    large enough to look for rows; rows says whether it finds them."""
+    with mock.patch.object(statevector, "_ROW_SORT_MIN", 1):
+        assert (statevector._flipped_rows(state, mask) is not None) == rows
+        got = flip_bits(state, mask)
+    want_idx, want_amps = argsort_flip(state, mask)
+    assert_same_bits(got.arrays()[0], want_idx)
+    assert_same_bits(got.arrays()[1], want_amps)
+
+
+def retrieval_states(words, input_value, n, b, both=True):
+    """A retrieval run's prepared and rotated states and its encoding mask."""
+    layout = RegisterLayout.retrieval(n, b)
+    patterns = PatternSet(tuple(BitPattern(w, n) for w in words))
+    x = BitPattern(input_value, n)
+    gamma_bar = 0.5 if both else 0.0
+    prepared = prepare_initial(x, patterns, 1.0 - gamma_bar, gamma_bar, layout)
+    rotated = apply_control_rotations(apply_difference_encoding(prepared, x))
+    return prepared, rotated, (input_value ^ ((1 << n) - 1)) << layout.memory.offset
+
+
+def rows_state(layout, seed, ragged):
+    """(state, mask, whether the state's runs are rows of one length).
+
+    A random register sets the cut at its end; the mask holds a random bit
+    of that register and random bits below it, and the support is a few
+    random values above the cut, each over a set of words below it: the
+    previous row's words or new ones. ragged takes one word off one row of
+    at least two, which leaves the rows unequal unless there is one row.
+    """
+    rng = np.random.default_rng(seed)
+    top = layout.registers[int(rng.integers(len(layout.registers)))]
+    cut = top.offset + top.width
+    mask = int(rng.integers(1 << cut)) | (1 << int(rng.integers(top.offset, cut)))
+    above = 1 << (layout.total_qubits - cut)
+    highs = np.sort(rng.choice(above, size=min(4, above), replace=False))
+    highs = highs[: int(rng.integers(1, highs.size + 1))]
+    length = int(rng.integers(2 if ragged else 1, min(8, 1 << cut) + 1))
+    rows, words = [], None
+    for high in highs:
+        if words is None or rng.random() < 0.5:
+            words = rng.choice(1 << cut, size=length, replace=False)
+        rows.append((int(high) << cut) | words)
+    if ragged:
+        short = int(rng.integers(len(rows)))
+        rows[short] = rows[short][1:]
+    idx = np.concatenate(rows)
+    amps = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
+    state = StateVector.from_arrays(layout, idx, amps / np.linalg.norm(amps))
+    return state, mask, not ragged or len(rows) == 1
+
+
+class TestFlipByRows:
+    # flip_bits by rows against one argsort of the whole support, bit for
+    # bit, and whether it finds rows, on retrieval states and random layouts.
+
+    def test_two_branch_restore_takes_the_rows(self):
+        # No stored word is the input or its complement, so every control
+        # value of each branch holds all three words.
+        prepared, rotated, mask = retrieval_states([0b0001, 0b0110, 0b1010], 0b0100, 4, 3)
+        assert rotated.support_size == 2 * 3 * 8
+        for state in (prepared, rotated):
+            assert_flip_by_rows(state, mask, rows=True)
+
+    def test_memory_holding_the_input_takes_the_argsort(self):
+        # The input's own word has distance 0, so sin(0) = 0 drops it from
+        # every branch-0 row with a control bit set: the rows differ.
+        prepared, rotated, mask = retrieval_states([0b0100, 0b0110, 0b1011], 0b0100, 4, 3)
+        assert_flip_by_rows(prepared, mask, rows=True)
+        assert_flip_by_rows(rotated, mask, rows=False)
+
+    def test_mask_over_two_registers_cuts_above_the_higher(self):
+        # Memory and control bits flip; each ancilla value is one row.
+        _, rotated, mask = retrieval_states([0b001, 0b110], 0b100, 3, 2)
+        control = rotated.layout.control
+        assert_flip_by_rows(rotated, mask | control.mask, rows=True)
+
+    def test_one_row_support(self):
+        # The ancilla flips, so the whole support is one run.
+        _, rotated, _ = retrieval_states([0b001, 0b110], 0b100, 3, 2, both=False)
+        assert_flip_by_rows(rotated, rotated.layout.ancilla.mask, rows=True)
+
+    def test_stretches_under_the_minimum_take_the_argsort(self):
+        # 4096 rows of 2 entries, words 0, 1 and 2, 3 by turns, so every
+        # row is a stretch of its own.
+        layout = RegisterLayout((("low", 2), ("high", 12)))
+        high = np.arange(1 << 12, dtype=np.int64)[:, None]
+        idx = ((high << 2) | (2 * (high % 2) + np.arange(2))).reshape(-1)
+        state = StateVector.from_arrays(layout, idx, np.full(idx.size, idx.size**-0.5))
+        assert statevector._flipped_rows(state, 0b01) is None
+        want_idx, _ = argsort_flip(state, 0b01)
+        assert np.array_equal(flip_bits(state, 0b01).arrays()[0], want_idx)
+
+    def test_retrieval_restore_at_full_size_takes_the_rows(self):
+        # 2 branches x 2^7 control values x 32 words: 8192 entries in 2
+        # stretches, over _ROW_SORT_MIN without patching it.
+        rng = np.random.default_rng(5)
+        words = sorted(int(w) for w in rng.choice(1 << 10, size=32, replace=False))
+        x = next(v for v in range(1 << 10) if v not in words and v ^ 1023 not in words)
+        _, rotated, mask = retrieval_states(words, x, 10, 7)
+        assert rotated.support_size == 8192
+        assert statevector._flipped_rows(rotated, mask) is not None
+        want_idx, want_amps = argsort_flip(rotated, mask)
+        got = flip_bits(rotated, mask)
+        assert_same_bits(got.arrays()[0], want_idx)
+        assert_same_bits(got.arrays()[1], want_amps)
+
+    @PROPERTY
+    @given(st.integers(1, 6), st.integers(1, 3), seeds, st.booleans(), st.booleans())
+    def test_retrieval_states(self, n, b, seed, both, stored):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, min(8, 2**n) + 1))
+        words = sorted(int(w) for w in rng.choice(1 << n, size=p, replace=False))
+        x = words[0] if stored else int(rng.integers(1 << n))
+        prepared, rotated, mask = retrieval_states(words, x, n, b, both)
+        for state in (prepared, rotated):
+            assert_flip_by_rows(state, mask, equal_runs(state, mask))
+
+    @PROPERTY
+    @given(any_order_layouts(3), seeds, st.booleans())
+    def test_rows_on_any_layout(self, layout, seed, ragged):
+        state, mask, rows = rows_state(layout, seed, ragged)
+        assert equal_runs(state, mask) == rows
+        assert_flip_by_rows(state, mask, rows)
+
+    @PROPERTY
+    @given(any_order_layouts(3), seeds, seeds)
+    def test_random_supports_on_any_layout(self, layout, seed, mask_seed):
+        state = random_state(layout, seed)
+        mask = mask_seed % layout.dim
+        assert_flip_by_rows(state, mask, equal_runs(state, mask))
