@@ -7,12 +7,20 @@ emits the command's tabular view with a stable column order. Exit codes:
 0 success; a user error prints one line and exits with the exit_code of
 its class in errors (2 parse error, 3 dimension error, 4 zero retrievable
 mass, 5 infeasible cloning requirement).
+
+main builds the argument parser on its first call and reuses it, so an
+in-process caller (an embedding program, the tests, a benchmark) pays for
+it once per process; each call still parses into a fresh Namespace. A JSON
+report is written in one pass by _dumps, whose output is exactly the bytes
+of json.dumps(report, sort_keys=True, indent=2) after nan became null and
++-inf the strings "inf" and "-inf".
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -33,28 +41,55 @@ from .retrieval import (
     complexity_uniform_approx,
     cos_power_average,
     grover_baseline,
+    retrievable_mass,
     run_retrieval,
     simulate_distribution,
 )
 
+# Values the C encoder writes as json.dumps(..., indent=2) would; a float
+# among them may still be nan or inf, which allow_nan=False refuses.
+_FLAT = frozenset((str, int, float, bool, type(None)))
+_encode_key = json.encoder.encode_basestring_ascii
 
-def _jsonable(value):
-    """Recursively coerce report values into JSON-safe types."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+
+def _dumps(value, indent: str = "\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) of a report value, in one pass.
+
+    Keys are written and sorted as str(key), a BitPattern as its string and
+    a numpy value as its tolist(); nan is null and +-inf "inf" / "-inf".
+    json.dumps runs its pure-Python encoder whenever indent is set, so a
+    container of flat scalars is one C-encoder call with the line break in
+    the item separator; only nested containers recurse.
+    """
     if isinstance(value, BitPattern):
-        return str(value)
+        return _encode_key(str(value))
     if hasattr(value, "tolist"):
-        return _jsonable(value.tolist())
-    if isinstance(value, float):
-        if math.isnan(value):
-            return None
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
-    return value
+        value = value.tolist()
+    if isinstance(value, dict):
+        value = {str(k): v for k, v in value.items()}
+        values, brackets = value.values(), "{}"
+    elif isinstance(value, (list, tuple)):
+        values, brackets = value, "[]"
+    elif isinstance(value, float) and not math.isfinite(value):
+        return "null" if math.isnan(value) else '"inf"' if value > 0 else '"-inf"'
+    else:
+        return json.dumps(value)
+    if not value:
+        return brackets
+    inner = indent + "  "
+    if all(type(v) in _FLAT for v in values):
+        try:
+            body = json.dumps(
+                value, sort_keys=True, allow_nan=False, separators=("," + inner, ": ")
+            )[1:-1]
+            return f"{brackets[0]}{inner}{body}{indent}{brackets[1]}"
+        except ValueError:  # nan or inf: written item by item below
+            pass
+    if brackets == "[]":
+        items = [_dumps(v, inner) for v in value]
+    else:
+        items = [f"{_encode_key(k)}: {_dumps(value[k], inner)}" for k in sorted(value)]
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{indent}{brackets[1]}"
 
 
 def _load_patterns(path: str) -> PatternSet:
@@ -334,7 +369,7 @@ def cmd_complexity(args) -> tuple[dict, dict, list[dict]]:
     else:
         input_pattern = _parse_input(args.input)
         input_echo = str(input_pattern)
-        analytic_distribution(input_pattern, patterns, args.b_range[0])  # zero-mass guard
+        retrievable_mass(input_pattern, patterns, args.b_range[0])  # zero-mass guard
         for b in args.b_range:
             rows.append(
                 {
@@ -370,7 +405,9 @@ def _emit_csv(rows: list[dict]) -> str:
     return buffer.getvalue()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="mirrorqam",
         description=(
@@ -461,7 +498,7 @@ def main(argv=None) -> int:
             "version": __version__,
             "timing_ms": round(timing_ms, 3),
         }
-        print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
+        print(_dumps(report))
     return 0
 
 if __name__ == "__main__":

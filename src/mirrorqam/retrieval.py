@@ -357,6 +357,11 @@ def analytic_distribution(
     return AnalyticDistribution(unnormalized, conditional, good_mass)
 
 
+def retrievable_mass(input_pattern: BitPattern, patterns: PatternSet, b: int) -> float:
+    """Good mass of the analytic law without its dicts; ZeroMassError when it is 0."""
+    return _good_mass(w / patterns.p for w in _law_weights(input_pattern, patterns, b))
+
+
 def _good_mass(masses) -> float:
     """The sum of the per-pattern good masses w / p; ZeroMassError when it is 0."""
     good_mass = sum(masses)
@@ -444,8 +449,7 @@ def _weighted_pipeline(
     ancilla mass on it; one whose prepared amplitudes sqrt(weight / p) are
     exactly 0 is absent.
     """
-    weights = _law_weights(input_pattern, patterns, config.b)
-    _good_mass(w / patterns.p for w in weights)
+    retrievable_mass(input_pattern, patterns, config.b)
     gamma, gamma_bar = resolve_gamma(config.gamma_mode, patterns)
     state = run_pipeline(
         input_pattern, patterns, gamma, gamma_bar, config.b, config.representation

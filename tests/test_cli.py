@@ -1,11 +1,18 @@
 """End-to-end CLI tests: flags, report schema, exit codes, reproducibility."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mirrorqam import cli
+from mirrorqam.patterns import BitPattern
 
 REPORT_KEYS = {"config", "results", "version", "timing_ms"}
 
@@ -539,3 +546,100 @@ def test_seeded_results_match_golden_file(name):
     assert result.returncode == 0, result.stderr
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert golden_results(result.stdout) == expected
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_stdout_is_canonical_json(name, capsys):
+    # The whole report, not only its results: key order, indentation and
+    # the config / version / timing_ms layout are those of json.dumps.
+    args = GOLDEN_CASES[name]
+    assert cli.main([args[0], "--patterns", str(GOLDEN / "patterns.txt"), *args[1:]]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout == json.dumps(json.loads(stdout), sort_keys=True, indent=2) + "\n"
+
+
+def test_cached_parser_carries_no_state_between_calls(pattern_file, capsys):
+    path = pattern_file("000\n011\n110\n")
+    seeded = ["distribution", "--patterns", path, "--input", "010", "--b", "2",
+              "--shots", "500", "--seed", "5", "--gamma-mode", "fixed:0.5"]
+
+    def results(stdout):
+        return json.loads(stdout)["results"]
+
+    assert cli.main(seeded) == 0
+    first = results(capsys.readouterr().out)
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["distribution", "--patterns", path, "--input", "010", "--b", "0"])
+    assert usage.value.code == 2
+    assert cli.main([*seeded[:4], "0101", *seeded[5:]]) == 3
+    assert cli.main([*seeded, "--format", "csv"]) == 0
+    capsys.readouterr()
+    assert cli.main(seeded) == 0
+    last = results(capsys.readouterr().out)
+    assert cli.build_parser() is cli.build_parser()
+    fresh = run_cli(*seeded)
+    assert fresh.returncode == 0, fresh.stderr
+    assert first == last == results(fresh.stdout)
+
+
+def reference_jsonable(value):
+    """The report coercion the CLI ran before json.dumps(..., indent=2)."""
+    if isinstance(value, dict):
+        return {str(k): reference_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_jsonable(v) for v in value]
+    if isinstance(value, BitPattern):
+        return str(value)
+    if hasattr(value, "tolist"):
+        return reference_jsonable(value.tolist())
+    if isinstance(value, float):
+        if math.isnan(value):
+            return None
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return value
+    return value
+
+
+bit_patterns = st.builds(
+    lambda bits: BitPattern.from_string("".join(map(str, bits))),
+    st.lists(st.integers(0, 1), min_size=1, max_size=6),
+)
+report_floats = st.floats(allow_nan=True, allow_infinity=True)
+# Values the C encoder takes as they are; a container of only these is one
+# encoder call, so the non-finite floats must turn up inside such containers.
+plain_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.text(max_size=4),
+    report_floats, st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+report_scalars = st.one_of(
+    plain_scalars, bit_patterns,
+    report_floats.map(np.float64), st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.lists(report_floats, max_size=4).map(np.array),
+    st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), max_size=3).map(np.array),
+)
+
+
+def report_values(depth):
+    """Scalars, or lists, tuples and dicts of report values nested depth deep at most."""
+    if depth == 0:
+        return report_scalars
+    inner = report_values(depth - 1)
+    keys = st.one_of(bit_patterns, st.integers(-20, 20), st.text(max_size=3))
+    return st.one_of(
+        report_scalars,
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(keys, inner, max_size=4),
+        st.lists(plain_scalars, max_size=6),
+        st.dictionaries(keys, plain_scalars, max_size=6),
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(report_values(4))
+def test_emitter_matches_the_indented_encoder(value):
+    assert cli._dumps(value) == json.dumps(
+        reference_jsonable(value), sort_keys=True, indent=2
+    )
