@@ -96,7 +96,7 @@ def _load_patterns(path: str) -> PatternSet:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PatternParseError(f"cannot read pattern file {path!r}: {exc}") from exc
     return parse_pattern_file(text)
 
@@ -130,15 +130,24 @@ def _parse_b_range(text: str) -> list[int]:
         ) from None
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive int, got {text!r}")
+def _int_at_least(low: int, kind: str):
+    """argparse type for ints of at least low, named kind in its error."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected a {kind} int, got {text!r}")
+
+    return convert
+
+
+# Counts must be at least 1; a seed is any int numpy's generators take.
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "non-negative")
 
 
 def _refusing_type(parse):
@@ -353,33 +362,30 @@ def cmd_clone_check(args) -> tuple[dict, dict, list[dict]]:
 def cmd_complexity(args) -> tuple[dict, dict, list[dict]]:
     patterns = _load_patterns(args.patterns)
     baseline = grover_baseline(patterns.n)
-    rows = []
     if args.uniform:
         input_echo = None
-        for b in args.b_range:
-            rows.append(
-                {
-                    "b": b,
-                    "instance_cost": "",
-                    "uniform_approx": complexity_uniform_approx(b),
-                    "uniform_exact": math.sqrt(1.0 / cos_power_average(b)),
-                    "grover_baseline": baseline,
-                }
-            )
     else:
         input_pattern = _parse_input(args.input)
         input_echo = str(input_pattern)
         retrievable_mass(input_pattern, patterns, args.b_range[0])  # zero-mass guard
-        for b in args.b_range:
-            rows.append(
-                {
-                    "b": b,
-                    "instance_cost": complexity_estimate(input_pattern, patterns, b),
-                    "uniform_approx": "",
-                    "uniform_exact": "",
-                    "grover_baseline": baseline,
-                }
-            )
+    rows = []
+    for b in args.b_range:
+        if args.uniform:
+            cost = ""
+            approx = complexity_uniform_approx(b)
+            exact = math.sqrt(1.0 / cos_power_average(b))
+        else:
+            cost = complexity_estimate(input_pattern, patterns, b)
+            approx = exact = ""
+        rows.append(
+            {
+                "b": b,
+                "instance_cost": cost,
+                "uniform_approx": approx,
+                "uniform_exact": exact,
+                "grover_baseline": baseline,
+            }
+        )
     config_echo = {
         "command": "complexity",
         "patterns": args.patterns,
@@ -427,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if with_shots:
             p.add_argument("--shots", type=_positive_int, default=10000)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_nonnegative_int, default=None)
         p.add_argument(
             "--gamma-mode",
             type=_refusing_type(GammaMode.parse),

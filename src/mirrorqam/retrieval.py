@@ -14,7 +14,11 @@ of weight so small that its prepared amplitudes are exactly 0 is absent,
 and a round drawn onto it fails. retrieve, run_retrieval and
 simulate_distribution enter the pipeline through one function, which
 checks the analytic law for retrievable mass first, then resolves the
-weights, runs the pipeline and finds the branches present.
+weights and runs the pipeline. Each driver then takes a branch from one
+branch step, which collapses the ancilla onto it; the collapse finds the
+branch absent when the state holds no ancilla mass on it. The readout
+measures the controls and, on the good control value, draws the memory
+value from the law of that projection.
 
 Within either branch, the probability of retrieving stored pattern q at
 Hamming distance d from input i is (1/p) cos^{2b}(pi d / 2n) before
@@ -439,24 +443,33 @@ def _amplify_branch(
 
 def _weighted_pipeline(
     input_pattern: BitPattern, patterns: PatternSet, config: RetrievalConfig
-) -> tuple[float, StateVector, list[int]]:
-    """(gamma_bar, pipeline state, present branches) under the config.
+) -> tuple[float, StateVector]:
+    """(gamma_bar, pipeline state) under the config.
 
     The good mass of the analytic law comes first, so an instance without
     retrievable mass raises ZeroMassError, as analytic_distribution does,
     before the branch weights are resolved; the law's dicts are left to
-    the callers that read them. A branch is present when the state holds
-    ancilla mass on it; one whose prepared amplitudes sqrt(weight / p) are
-    exactly 0 is absent.
+    the callers that read them.
     """
     retrievable_mass(input_pattern, patterns, config.b)
     gamma, gamma_bar = resolve_gamma(config.gamma_mode, patterns)
     state = run_pipeline(
         input_pattern, patterns, gamma, gamma_bar, config.b, config.representation
     )
-    anc = state.layout.ancilla
-    present = [b for b in (0, 1) if subspace_mass(state, anc.mask, b << anc.offset)]
-    return gamma_bar, state, present
+    return gamma_bar, state
+
+
+def _branch_start(pipeline: StateVector, branch: int) -> StateVector | None:
+    """The pipeline state collapsed onto ancilla value branch; None if it is absent.
+
+    A branch is absent when the state holds no ancilla mass on it, as when
+    its prepared amplitudes sqrt(weight / p) are exactly 0; collapse_qubit
+    refuses that outcome with ValueError, so the collapse decides presence.
+    """
+    try:
+        return collapse_qubit(pipeline, pipeline.layout.ancilla.offset, branch)[1]
+    except ValueError:
+        return None
 
 
 def _corrected(raw: BitPattern, branch: int) -> BitPattern:
@@ -467,12 +480,17 @@ def _corrected(raw: BitPattern, branch: int) -> BitPattern:
 def _read_out(
     state: StateVector, branch: int, rng
 ) -> tuple[bool, BitPattern | None, BitPattern | None]:
-    """Measure controls, then memory if all read branch: (succeeded, raw, corrected)."""
-    control = state.layout.control
+    """Measure controls, then memory if all read branch: (succeeded, raw, corrected).
+
+    The memory value is one draw from register_law of the good-control
+    projection, as measure_register would draw it; its projection is not
+    built, since nothing reads it.
+    """
+    control, mem = state.layout.control, state.layout.memory
     word, state = measure_register(state, control, rng)
     if BitPattern.from_string(word).value != good_control(control, branch):
         return False, None, None
-    raw = BitPattern.from_string(measure_register(state, "memory", rng)[0])
+    raw = BitPattern(register_law(state, mem).draw(rng.random()), mem.width)
     return True, raw, _corrected(raw, branch)
 
 
@@ -482,32 +500,30 @@ def retrieve(
     config: RetrievalConfig,
     rng=None,
     round_index: int = 0,
-    state: tuple[float, StateVector, list[int]] | None = None,
+    state: tuple[float, StateVector] | None = None,
 ) -> RetrievalOutcome:
     """One retrieval round.
 
     Runs the pipeline, draws the branch from the weights (branch 1 when a
     uniform draw is below gamma_bar, as simulate_distribution draws it),
-    collapses the ancilla onto it, amplifies toward that branch's good
-    subspace, measures the controls, and, when they land in the good
-    subspace, measures the memory register. Branch-1 results are
+    collapses the ancilla onto it (_branch_start), amplifies toward that
+    branch's good subspace, measures the controls, and, when they land in
+    the good subspace, measures the memory register. Branch-1 results are
     mirror-corrected. A round drawn onto an absent branch fails with no
     amplification and good_probability_before 0.0. round_index only
     matters in estimate mode, where it varies the iteration count across
-    retries. state, when given, must be the (gamma_bar, pipeline state,
-    present branches) of these arguments, as _weighted_pipeline gives
-    them; the round then starts from it instead of recomputing it.
+    retries. state, when given, must be the (gamma_bar, pipeline state)
+    of these arguments, as _weighted_pipeline gives them; the round then
+    starts from it instead of recomputing it.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    gamma_bar, pipeline, present = (
-        state or _weighted_pipeline(input_pattern, patterns, config)
-    )
+    gamma_bar, pipeline = state or _weighted_pipeline(input_pattern, patterns, config)
     branch = 1 if rng.random() < gamma_bar else 0
-    if branch not in present:
-        return RetrievalOutcome(branch, 0, 0.0, False, None, None)
-    start = collapse_qubit(pipeline, pipeline.layout.ancilla.offset, branch)[1]
+    start = _branch_start(pipeline, branch)
     del pipeline  # freed here unless the caller keeps it for further rounds
+    if start is None:
+        return RetrievalOutcome(branch, 0, 0.0, False, None, None)
     p_good, k, amplified = _amplify_branch(start, branch, config, round_index)
     del start  # the readout peaks without the start state
     return RetrievalOutcome(branch, k, p_good, *_read_out(amplified, branch, rng))
@@ -522,8 +538,8 @@ def run_retrieval(
 ) -> RetrievalRun:
     """Repeat retrieval rounds until one succeeds or the budget is spent.
 
-    The deterministic pipeline and its branch presence are computed once,
-    and every round starts from them. Failed rounds are reported, not
+    The deterministic pipeline is computed once, and every round collapses
+    it onto the branch it draws. Failed rounds are reported, not
     hidden, since cost accounting counts them.
     """
     if max_rounds < 1:
@@ -578,10 +594,10 @@ def simulate_distribution(
     and the per-branch amplification are deterministic, so both paths
     compute each branch's post-amplification state once. Each shot draws
     its branch as a retrieve round does, branch 1 when a uniform draw is
-    below gamma_bar. A branch absent from the pipeline state (its prepared
-    amplitudes sqrt(weight / p) are exactly 0) is not collapsed, and a
-    shot drawn onto it is a failed round, as such a retrieve round is. The
-    default path draws all outcomes in bulk. strict mode replays retrieve
+    below gamma_bar. Each branch starts from _branch_start, as a retrieve
+    round does; a branch absent from the pipeline state is not amplified,
+    and a shot drawn onto it is a failed round, as such a retrieve round
+    is. The default path draws all outcomes in bulk. strict mode replays retrieve
     shot by shot, draw for draw: the same rng order (branch, control, then
     memory after a good control outcome) and the same outcomes as
     retrieve, but it builds each branch's control and memory laws once
@@ -592,24 +608,22 @@ def simulate_distribution(
     exactly rounded math.fsum, so it does not depend on set order.
     """
     analytic = analytic_distribution(input_pattern, patterns, config.b)
-    gamma_bar, state, present = _weighted_pipeline(input_pattern, patterns, config)
+    gamma_bar, state = _weighted_pipeline(input_pattern, patterns, config)
     if rng is None:
         rng = np.random.default_rng(config.seed)
     mem, control = state.layout.memory, state.layout.control
 
-    # Collapse every branch the state holds first, so the two-branch state
-    # is released before amplification builds its states.
-    collapsed = {
-        branch: collapse_qubit(state, state.layout.ancilla.offset, branch)[1]
-        for branch in present
-    }
+    # Collapse both branches first, so the two-branch state is released
+    # before amplification builds its states.
+    starts = {branch: _branch_start(state, branch) for branch in (0, 1)}
     del state
     branch_states: dict[int, StateVector] = {}
     iterations: dict[int, int] = {}
-    for branch in list(collapsed):
-        _, iterations[branch], branch_states[branch] = _amplify_branch(
-            collapsed.pop(branch), branch, config, 0
-        )
+    for branch in (0, 1):
+        if starts[branch] is not None:
+            _, iterations[branch], branch_states[branch] = _amplify_branch(
+                starts.pop(branch), branch, config, 0
+            )
 
     value_counts: dict[int, Counter[int]] = {0: Counter(), 1: Counter()}
     branch_shots = {0: 0, 1: 0}

@@ -5,94 +5,61 @@ Basis-state indices are little-endian over the composite register: qubit k
 so a register's first qubit is its least significant bit and lines up with
 the leftmost character of a pattern string.
 
-Two storage modes exist. Sparse mode (default) holds a state as two aligned
-arrays: the sorted, duplicate-free int64 basis indices of its support and
-their complex128 amplitudes. The support is exactly the nonzero amplitudes,
-the entries that a dense state's arrays() reports: building or converting
-a sparse state, and the sparse amplitude-mixing operations (Hadamard, the
-control rotations and reflection about a state), drop amplitudes that are
-exactly 0 and keep every other one, however small. So a branch is absent
-only when its amplitudes are exactly 0, in either mode. Every gate is array
-arithmetic over the whole support: flip_bits (NOT on every qubit of a mask
-at once) and XOR rewrite indices and re-sort, the distance phase is a
-masked popcount, and the Hadamard pairs each index with its partner.
-XOR re-sorts by one argsort of the whole support. flip_bits leaves every
-index in its run of equal bits above the highest register its mask
-touches; where those runs have one length they are the rows of a 2-D
-view, rows with equal bits below the cut share one argsort (in a
-retrieval state, one per branch), and the output is gathered row block
-by row block, equal bit for bit to the one global argsort it replaces.
-Projection, masses, the good-subspace reflection and register_law select
-the entries with (i & mask) == value as one run of the sorted support,
-found by two binary searches, when the mask covers contiguous qubits and
-every entry shares the bits above them (a one-branch state, or any
-selection on the top register); otherwise they select by a boolean index
-mask. Either way they take the same entries in the same order, so the
-results agree bit for bit; a run's projection keeps a view of its input's
-indices. One function, _select, makes these selections in both modes (a
-dense vector is viewed through _blocks over the mask and keyed by the
-value's rows), so masses, a projection's mass and the good-subspace
-reflection are written once; the reflection negates in both modes, so
-their signed zeros agree. A gate that keeps the support passes its
-input's index array on unchanged, so the states of one amplification run
-share their axis's index array, and the reflections and the inner
-product recognise that by identity before they compare or look up
-indices. Each gate computes its
-output amplitudes in one array and updates it in place (the good-subspace
-reflection negates inside one copy, the reflection about a state
-subtracts the state from the scaled axis, a projection renormalizes the
-amplitudes it selected) rather than combining full-size intermediate
-arrays. int64 indices limit layouts to 63 qubits.
-Measuring a register is register_law, one draw from it and a projection.
-The law holds the cumulative Born masses in register-value order (sparse:
-one position per support entry, stably sorted by register value; dense:
-one per register value), the register value at each position, and a
-clamp position. A draw bisects for the first position whose cumulative
-mass exceeds a uniform u, or takes the clamp when none does. A caller
-that draws many times from one state builds its law once, as lists
-(RegisterLaw.as_lists).
-Dense mode keeps the full 2**total_qubits vector, at most 24 qubits, and is
-written separately, as the reference that sparse results are
-cross-validated against; both modes implement every operation and agree
-amplitude-by-amplitude. Dense kernels never build a per-basis-state index
-table: each reshapes the vector so that the qubit or register it acts on
-is one axis, then reverses, swaps, combines, scales or sums along that
-axis; flip_bits reverses every axis of its mask in one copy.
-The control rotations (Hadamard, distance phase, Hadamard on each control
-qubit) are the one kernel the modes share: a loop that runs, for each
-control qubit, the Hadamard butterfly, the phase multiply and the
-butterfly again in place on an (above, 2**b, below) view of rows of
-control values, touching only the rows that can be nonzero. Each mode
-builds its own rows. Dense: a copy of the vector, viewed through _blocks.
-Sparse: the support split into groups of equal bits above the control
-register, each group a (2**b, largest group size) block indexed by
-control value and then by the bits below, with zero columns padding the
-smaller groups; the blocks lie back to back in one buffer, which is
-therefore already in basis-index order and becomes the output, without
-its zeros, without a sort. One phase construction serves both kernels and
-the dense apply_hamming_phase: _distance_phases takes the bits outside the
-control register of each column of a row view (the sparse kernel's grid
-of support words; every dense index above and below the control
-register) and gives that column's phase under either value of a control
-bit, and _multiply_phases applies one control qubit's phases in place.
-The loop does the arithmetic of the separate gates, so each mode's kernel
-output equals that mode's own gate sequence bit for bit. The phase keeps
-independent judges: the sparse apply_hamming_phase computes its phases per
-basis index, apart from _distance_phases; the tests compare the sparse
-kernel with that gate sequence, the dense gates with explicit
-Kronecker-product operators, and the two modes with each other over
-random gate sequences. Inner products and masses in both modes sum
-np.vdot over consecutive blocks of 8192 amplitudes: OpenBLAS splits a
-longer dot product across its worker threads, which then spin between
-calls, so a run would keep a second core busy, its speed would follow
-that core's load, and the sum would depend on the host's thread count. A
-vector of at most 8192 amplitudes is one np.vdot call.
+Two storage modes exist, and a state's mode follows its storage. Sparse
+mode (default) holds a state as two aligned arrays: the sorted,
+duplicate-free int64 basis indices of its support and their complex128
+amplitudes. The support is exactly the nonzero amplitudes, the entries
+that a dense state's arrays() reports: building or converting a sparse
+state, and the sparse amplitude-mixing operations (Hadamard, the control
+rotations and reflection about a state), drop amplitudes that are exactly
+0 and keep every other one, however small. So a branch is absent only
+when its amplitudes are exactly 0, in either mode. Every gate is array
+arithmetic over the whole support. int64 indices limit layouts to 63
+qubits. Dense mode keeps the full 2**total_qubits vector (no index
+array), at most 24 qubits, and is written separately, as the reference
+that sparse results are cross-validated against; both modes implement
+every operation and agree amplitude-by-amplitude. Dense kernels never
+build a per-basis-state index table: each reshapes the vector so that the
+qubit or register it acts on is one axis, then reverses, swaps, combines,
+scales or sums along that axis.
 
-All operations return new StateVector values; the arrays of an existing
-value are read-only and never mutated, so sharing across threads is safe.
-Randomized operations take a seedable numpy Generator
-(np.random.default_rng); outcomes are deterministic given the seed and
-configuration.
+A sparse selection (projection, masses, the good-subspace reflection,
+register_law) takes the same entries in the same order whether _selection
+finds them as a binary-searched run or by a boolean mask, so its results
+agree bit for bit; the good-subspace reflection negates in both modes, so
+their signed zeros agree. A gate that keeps the support
+passes its input's index array on unchanged, so the states of one
+amplification run share their axis's index array, and the reflections
+and the inner product recognise that by identity before they compare or
+look up indices. Each gate computes its output amplitudes in one array
+and updates it in place rather than combining full-size intermediate
+arrays.
+
+Measuring a register is register_law, one draw from it and a projection.
+A caller that draws many times from one state builds its law once, as
+lists (RegisterLaw.as_lists).
+
+The control rotations run one kernel in both modes; its output equals
+that mode's own gate sequence (Hadamard, apply_hamming_phase, Hadamard)
+bit for bit. The phase keeps independent judges: the sparse
+apply_hamming_phase computes its phases per basis index, apart from the
+kernel's _distance_phases; the tests compare the sparse kernel with that
+gate sequence, the dense gates with explicit Kronecker-product operators,
+and the two modes with each other over random gate sequences. Inner
+products and masses in both modes sum np.vdot over consecutive blocks of
+8192 amplitudes: OpenBLAS splits a longer dot product across its worker
+threads, which then spin between calls, so a run would keep a second core
+busy, its speed would follow that core's load, and the sum would depend
+on the host's thread count. A vector of at most 8192 amplitudes is one
+np.vdot call.
+
+All operations return new StateVector values. Every state, in either
+mode, is built by one constructor that marks the arrays it wraps
+read-only, so the arrays of an existing value are never mutated, even
+where an output shares its input's buffer (a dense flip_bits over every
+qubit returns a view), and sharing across threads is safe. Randomized
+operations take a seedable numpy Generator (np.random.default_rng);
+outcomes are deterministic given the seed and configuration.
 """
 
 from __future__ import annotations
@@ -238,37 +205,36 @@ class RegisterLayout:
 class StateVector:
     """Normalized complex amplitudes over a layout's basis states."""
 
-    __slots__ = ("layout", "mode", "_idx", "_amps")
+    __slots__ = ("layout", "_idx", "_amps")
 
-    def __init__(self, layout, idx, amps, mode, _internal=False):
-        if not _internal:
-            raise TypeError(
-                "use StateVector.basis_state, from_amplitudes or from_arrays"
-            )
-        self.layout = layout
-        self.mode = mode
-        self._idx = idx
-        self._amps = amps
+    def __init__(self, *args, **kwargs):
+        raise TypeError("use StateVector.basis_state, from_amplitudes or from_arrays")
 
     @classmethod
-    def _sparse(
-        cls, layout: RegisterLayout, idx: np.ndarray, amps: np.ndarray
+    def _wrap(
+        cls, layout: RegisterLayout, idx: np.ndarray | None, amps: np.ndarray
     ) -> StateVector:
-        """Wrap a sorted, duplicate-free index array and its aligned amplitudes."""
-        idx.flags.writeable = False
-        amps.flags.writeable = False
-        return cls(layout, idx, amps, "sparse", _internal=True)
+        """The one constructor: sorted, duplicate-free indices and their amplitudes.
 
-    @classmethod
-    def _dense(cls, layout: RegisterLayout, amps: np.ndarray) -> StateVector:
-        return cls(layout, None, amps, "dense", _internal=True)
+        idx None means dense: amps is the whole vector. Every array wrapped
+        is marked read-only.
+        """
+        state = object.__new__(cls)
+        for array in (idx, amps):
+            if array is not None:
+                array.flags.writeable = False
+        state.layout, state._idx, state._amps = layout, idx, amps
+        return state
+
+    @property
+    def mode(self) -> str:
+        return "dense" if self._idx is None else "sparse"
 
     @classmethod
     def basis_state(
         cls, layout: RegisterLayout, index: int = 0, mode: str = "sparse"
     ) -> StateVector:
-        if not 0 <= index < layout.dim:
-            raise IndexError(f"basis index {index} out of range")
+        _check_index(layout, index)
         return cls.from_arrays(layout, [index], [1.0], mode=mode)
 
     @classmethod
@@ -326,9 +292,11 @@ class StateVector:
         _check_dense_size(layout)
         arr = np.zeros(layout.dim, dtype=np.complex128)
         arr[idx] = amps
-        return cls._dense(layout, arr)
+        return cls._wrap(layout, None, arr)
 
     def amplitude(self, index: int) -> complex:
+        """The amplitude of basis state index; IndexError outside [0, dim)."""
+        _check_index(self.layout, index)
         if self.mode == "dense":
             return complex(self._amps[index])
         return complex(_gather(self._idx, self._amps, np.array([index]))[0])
@@ -364,9 +332,9 @@ class StateVector:
             _check_dense_size(self.layout)
             arr = np.zeros(self.layout.dim, dtype=np.complex128)
             arr[self._idx] = self._amps
-            return StateVector._dense(self.layout, arr)
+            return StateVector._wrap(self.layout, None, arr)
         if mode == "sparse":
-            return StateVector._sparse(self.layout, *self.arrays())
+            return StateVector._wrap(self.layout, *self.arrays())
         raise ValueError(f"unknown mode {mode!r}")
 
     def as_dict(self) -> dict[int, complex]:
@@ -394,6 +362,11 @@ def _check_dense_size(layout: RegisterLayout) -> None:
             f"dense mode supports at most {_MAX_DENSE_QUBITS} qubits,"
             f" layout has {layout.total_qubits}"
         )
+
+
+def _check_index(layout: RegisterLayout, index: int) -> None:
+    if not 0 <= index < layout.dim:
+        raise IndexError(f"basis index {index} out of range")
 
 
 def _check_qubit(state: StateVector, qubit: int) -> None:
@@ -500,8 +473,8 @@ def _nonzero(layout: RegisterLayout, idx: np.ndarray, amps: np.ndarray) -> State
     """Sparse state on sorted indices, without the amplitudes that are exactly 0."""
     keep = amps != 0
     if keep.all():
-        return StateVector._sparse(layout, idx, amps)
-    return StateVector._sparse(layout, idx[keep], amps[keep])
+        return StateVector._wrap(layout, idx, amps)
+    return StateVector._wrap(layout, idx[keep], amps[keep])
 
 
 def _permuted(state: StateVector, flips) -> StateVector:
@@ -520,7 +493,7 @@ def _permuted(state: StateVector, flips) -> StateVector:
     order = np.argsort(state._idx ^ flips, kind="stable")
     idx = state._idx[order]
     idx ^= flips[order] if isinstance(flips, np.ndarray) else flips
-    return StateVector._sparse(state.layout, idx, state._amps[order])
+    return StateVector._wrap(state.layout, idx, state._amps[order])
 
 
 def _flipped_rows(state: StateVector, mask: int) -> StateVector | None:
@@ -568,7 +541,7 @@ def _flipped_rows(state: StateVector, mask: int) -> StateVector | None:
         np.bitwise_or(rows[start:end, :1] & ~low, keys[order] & low, out=out_idx[start:end])
         # mode="clip" writes straight into out; the default mode buffers it.
         np.take(amps[start:end], order, axis=1, out=out_amps[start:end], mode="clip")
-    return StateVector._sparse(state.layout, out_idx.reshape(-1), out_amps.reshape(-1))
+    return StateVector._wrap(state.layout, out_idx.reshape(-1), out_amps.reshape(-1))
 
 
 def flip_bits(state: StateVector, mask: int) -> StateVector:
@@ -582,7 +555,7 @@ def flip_bits(state: StateVector, mask: int) -> StateVector:
     # Axis k of the (2,) * total view is qubit total - 1 - k.
     axes = tuple(total - 1 - q for q in range(total) if (mask >> q) & 1)
     flipped = np.flip(state._amps.reshape((2,) * total), axis=axes)
-    return StateVector._dense(state.layout, flipped.reshape(-1))
+    return StateVector._wrap(state.layout, None, flipped.reshape(-1))
 
 
 def apply_not(state: StateVector, qubit: int) -> StateVector:
@@ -609,7 +582,7 @@ def apply_xor(state: StateVector, control: int, target: int) -> StateVector:
         out.reshape(shape)[:, 1, :, :, :] = src[:, 1, :, ::-1, :]
     else:
         out.reshape(shape)[:, :, :, 1, :] = src[:, ::-1, :, 1, :]
-    return StateVector._dense(state.layout, out)
+    return StateVector._wrap(state.layout, None, out)
 
 
 def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
@@ -632,7 +605,7 @@ def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
     np.add(src[:, 0, :], src[:, 1, :], out=pair[:, 0, :])
     np.subtract(src[:, 0, :], src[:, 1, :], out=pair[:, 1, :])
     out *= _SQRT_HALF
-    return StateVector._dense(state.layout, out)
+    return StateVector._wrap(state.layout, None, out)
 
 
 def apply_hamming_phase(state: StateVector, control: int) -> StateVector:
@@ -657,11 +630,11 @@ def apply_hamming_phase(state: StateVector, control: int) -> StateVector:
         zeros = n - np.bitwise_count(idx & mem.mask).astype(np.int64)
         signed = np.where((idx & cmask) != 0, -zeros, zeros)
         phases = _phase_table(n)[n + signed]
-        return StateVector._sparse(layout, idx, state._amps * phases)
+        return StateVector._wrap(layout, idx, state._amps * phases)
     out = state._amps.copy()
     rows = _blocks(out, control_reg.offset, control_reg.width)
     _multiply_phases(rows, control - control_reg.offset, _dense_phases(layout, rows))
-    return StateVector._dense(layout, out)
+    return StateVector._wrap(layout, None, out)
 
 
 def _phase_table(n: int) -> np.ndarray:
@@ -765,7 +738,7 @@ def apply_control_rotations(state: StateVector) -> StateVector:
         held = np.flatnonzero(rows.view(np.uint64).any(axis=(0, 2)))
         filled = int(held.max(initial=0)).bit_length()
         _rotate_rows(rows, filled, _dense_phases(layout, rows))
-        return StateVector._dense(layout, out)
+        return StateVector._wrap(layout, None, out)
     rows = 1 << b
     idx = state._idx
     rest, r = np.unique(idx & ~control.mask, return_inverse=True)
@@ -821,10 +794,10 @@ def _project(
         raise ValueError("projection onto a zero-probability subspace")
     if state.mode == "sparse":
         kept = kept / math.sqrt(probability)
-        return probability, StateVector._sparse(state.layout, state._idx[key], kept)
+        return probability, StateVector._wrap(state.layout, state._idx[key], kept)
     out = np.zeros_like(view)
     np.divide(kept, math.sqrt(probability), out=out[key])
-    return probability, StateVector._dense(state.layout, out.reshape(-1))
+    return probability, StateVector._wrap(state.layout, None, out.reshape(-1))
 
 
 def subspace_mass(state: StateVector, select_mask: int, select_value: int) -> float:
@@ -934,7 +907,7 @@ def reflect_about_state(state: StateVector, axis: StateVector) -> StateVector:
     if state.mode == "dense":
         amps = np.multiply(coeff, axis._amps)
         amps -= state._amps
-        return StateVector._dense(state.layout, amps)
+        return StateVector._wrap(state.layout, None, amps)
     support = axis._idx
     if not (
         state._idx is support
@@ -963,9 +936,7 @@ def reflect_good_subspace(state: StateVector, branch: int) -> StateVector:
     out = state._amps.copy()
     view, key = _select(out, state._idx, reg.mask, target)
     view[key] = -view[key]
-    if state.mode == "sparse":
-        return StateVector._sparse(state.layout, state._idx, out)
-    return StateVector._dense(state.layout, out)
+    return StateVector._wrap(state.layout, state._idx, out)
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

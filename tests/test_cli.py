@@ -297,19 +297,22 @@ class TestCloneCheckCommand:
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
-        "command, flag",
+        "command, flag, value, kind",
         [
-            ("distribution", "--b"),
-            ("retrieve", "--b"),
-            ("distribution", "--shots"),
-            ("retrieve", "--retries"),
+            ("distribution", "--b", "0", "positive"),
+            ("retrieve", "--b", "0", "positive"),
+            ("distribution", "--shots", "0", "positive"),
+            ("retrieve", "--retries", "0", "positive"),
+            # numpy refuses a negative seed with a traceback of its own.
+            ("distribution", "--seed", "-1", "non-negative"),
+            ("retrieve", "--seed", "-1", "non-negative"),
         ],
     )
-    def test_nonpositive_count_is_a_one_line_parse_error(
-        self, pattern_file, command, flag
+    def test_int_out_of_range_is_a_one_line_parse_error(
+        self, pattern_file, command, flag, value, kind
     ):
         path = pattern_file("00\n01\n")
-        values = {"--b": "1", flag: "0"}
+        values = {"--b": "1", flag: value}
         result = run_cli(
             command, "--patterns", path, "--input", "00",
             *(item for pair in values.items() for item in pair),
@@ -318,7 +321,35 @@ class TestUsageErrors:
         errors = [line for line in result.stderr.splitlines() if "error" in line]
         assert errors == [
             f"mirrorqam {command}: error: argument {flag}:"
-            " expected a positive int, got '0'"
+            f" expected a {kind} int, got '{value}'"
+        ]
+
+    @pytest.mark.parametrize("seed", ["0", str(2**32), "99999999999999999999999999"])
+    def test_seed_of_any_size_from_0_runs(self, pattern_file, seed):
+        path = pattern_file("00\n01\n")
+        result = run_cli(
+            "retrieve", "--patterns", path, "--input", "00", "--b", "1", "--seed", seed
+        )
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["config"]["seed"] == int(seed)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("distribution", "--input", "0101", "--b", "1"),
+            ("retrieve", "--input", "0101", "--b", "1"),
+            ("clone-check",),
+            ("complexity", "--input", "0101", "--b-range", "1:2"),
+        ],
+    )
+    def test_non_utf8_pattern_file_exits_2_naming_it(self, tmp_path, args):
+        path = tmp_path / "patterns.txt"
+        path.write_bytes(b"01\xff1\n")
+        result = run_cli(args[0], "--patterns", str(path), *args[1:])
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"error: cannot read pattern file {str(path)!r}: 'utf-8' codec can't"
+            " decode byte 0xff in position 2: invalid start byte"
         ]
 
     def test_layout_over_63_qubits_exits_3(self, pattern_file):

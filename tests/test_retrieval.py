@@ -46,6 +46,7 @@ from mirrorqam.statevector import (
     StateVector,
     collapse_qubit,
     measure_register,
+    subspace_mass,
 )
 
 from conftest import random_instance
@@ -592,13 +593,6 @@ class TestSimulateDistribution:
         # gamma_bar is 0.9, but the pipeline's ancilla mass on branch 1 is
         # 0.9000000000000001, so a first draw of 0.9 lies between the two.
         # Both drivers compare it with gamma_bar: branch 0.
-        class FirstDraw:
-            def __init__(self):
-                self.draws = iter([0.9])
-
-            def random(self):
-                return next(self.draws, 0.5)
-
         x, patterns = bp("0111"), ps("0011", "0101", "0110")
         config = RetrievalConfig(
             b=1, gamma_mode=GammaMode.fixed(0.1), shots=1, representation=mode
@@ -607,8 +601,8 @@ class TestSimulateDistribution:
         state = run_pipeline(x, patterns, 0.1, 0.9, 1, mode)
         ancilla = state.layout.ancilla.offset
         assert probability_of_subspace(state, lambda i: i >> ancilla) > 0.9
-        assert retrieve(x, patterns, config, FirstDraw()).ancilla_branch == 0
-        report = simulate_distribution(x, patterns, config, FirstDraw(), strict=True)
+        assert retrieve(x, patterns, config, Draws(0.9)).ancilla_branch == 0
+        report = simulate_distribution(x, patterns, config, Draws(0.9), strict=True)
         assert report.branch_shots == {0: 1, 1: 0}
 
 
@@ -754,6 +748,75 @@ class TestStrictExactness:
         assert report.successes_by_branch == by_branch
         assert report.failed_rounds == failed
         assert report.total_variation_distance.hex() == tv.hex()
+
+
+class Draws:
+    """An rng whose first draw is first and every later one 0.5."""
+
+    def __init__(self, first):
+        self.draws = iter([first])
+
+    def random(self):
+        return next(self.draws, 0.5)
+
+
+class TestBranchPresence:
+    """A driver amplifies exactly the branches that hold ancilla mass."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        memories(),
+        st.integers(1, 3),
+        st.sampled_from([0.0, 5e-324, 1e-300, 1e-26]) | st.floats(0.0, 1.0),
+        st.booleans(),
+        st.sampled_from(["sparse", "dense"]),
+        st.booleans(),
+    )
+    # Weight 5e-324: at p = 1 branch 1 keeps mass 5e-324 and is present; at
+    # p = 2 its amplitudes sqrt(5e-324 / 2) round to 0 and it is absent.
+    @example((("0",), "0"), 1, 5e-324, True, "sparse", False)
+    @example((("0",), "0"), 1, 5e-324, True, "dense", True)
+    @example((("0", "1"), "0"), 1, 5e-324, True, "sparse", True)
+    @example((("0", "1"), "0"), 1, 5e-324, True, "dense", False)
+    def test_amplified_branches_are_those_with_ancilla_mass(
+        self, memory, b, weight, light_mirror, mode, strict
+    ):
+        words, input_word = memory
+        patterns, inp = ps(*words), bp(input_word)
+        heavy, light = 1.0 - weight, weight
+        gamma, gamma_bar = (heavy, light) if light_mirror else (light, heavy)
+        config = RetrievalConfig(
+            b=b,
+            gamma_mode=GammaMode.fixed(gamma, gamma_bar),
+            shots=20,
+            seed=5,
+            representation=mode,
+        )
+        try:
+            report = simulate_distribution(inp, patterns, config, strict=strict)
+        except ZeroMassError:
+            return
+        state = run_pipeline(inp, patterns, gamma, gamma_bar, b, mode)
+        anc = state.layout.ancilla
+        present = {
+            branch
+            for branch in (0, 1)
+            if subspace_mass(state, anc.mask, branch << anc.offset) > 0
+        }
+        assert report.amplification_iterations.keys() == present
+        # A round drawn onto an absent branch fails with k = 0; one drawn onto
+        # a present branch amplifies it as the sampler does.
+        for branch, u in ((1, 0.0), (0, math.nextafter(1.0, 0.0))):
+            if (u < gamma_bar) != bool(branch):
+                continue  # no uniform draw picks this branch
+            outcome = retrieve(inp, patterns, config, rng=Draws(u))
+            if branch in present:
+                assert outcome.ancilla_branch == branch
+                assert outcome.amplification_iterations == (
+                    report.amplification_iterations[branch]
+                )
+            else:
+                assert outcome == RetrievalOutcome(branch, 0, 0.0, False, None, None)
 
 
 @st.composite

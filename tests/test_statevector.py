@@ -25,6 +25,7 @@ from mirrorqam.statevector import (
     apply_not,
     apply_xor,
     collapse_qubit,
+    collapse_register,
     flip_bits,
     inner_product,
     measure_qubit,
@@ -110,6 +111,16 @@ class TestConstruction:
         ).support_size == 1
         with pytest.raises(DimensionError, match="at most 63 qubits"):
             RegisterLayout.retrieval(62, 1)
+
+    @pytest.mark.parametrize("mode", ["sparse", "dense"])
+    def test_amplitude_refuses_indices_outside_the_layout(self, mode):
+        state = bell(mode)
+        assert state.amplitude(3) == SQ2 and state.amplitude(1) == 0
+        for index in (-1, state.layout.dim):
+            with pytest.raises(IndexError, match=f"basis index {index} out of range"):
+                state.amplitude(index)
+            with pytest.raises(IndexError, match=f"basis index {index} out of range"):
+                StateVector.basis_state(state.layout, index, mode)
 
     def test_rejects_repeated_index(self):
         lay = RegisterLayout.memory_only(1)
@@ -749,6 +760,48 @@ class TestDenseAgainstOperators:
         kept = register_projector(layout, reg, value) @ dense_vector(state)
         expect = kept / np.linalg.norm(kept)
         assert np.max(np.abs(dense_vector(got) - expect)) <= 1e-12
+
+    @PROPERTY
+    @given(any_order_layouts(2), seeds, st.sampled_from(["sparse", "dense"]))
+    def test_every_state_wraps_read_only_arrays(self, layout, seed, mode):
+        # A dense flip_bits over every qubit returns a view of its input's
+        # buffer, so a writeable output would let a write reach the input.
+        state = random_state(layout, seed, mode)
+        rng = np.random.default_rng(seed)
+        qubit = int(rng.integers(layout.total_qubits))
+        c, t = (int(q) for q in rng.choice(layout.total_qubits, 2, replace=False))
+        reg = layout.register(str(rng.choice(["memory", "control", "ancilla"])))
+        outcome = int(subspace_mass(state, 1 << qubit, 1 << qubit) > 0)
+        value = register_law(state, reg).draw(float(rng.random()))
+        other = "dense" if mode == "sparse" else "sparse"
+        outputs = {
+            "from_arrays": state,
+            "basis_state": StateVector.basis_state(layout, layout.dim - 1, mode),
+            "flip_bits": flip_bits(state, int(rng.integers(layout.dim))),
+            "flip_bits, every qubit": flip_bits(state, layout.dim - 1),
+            "apply_not": apply_not(state, qubit),
+            "apply_xor": apply_xor(state, c, t),
+            "apply_hadamard": apply_hadamard(state, qubit),
+            "apply_hamming_phase": apply_hamming_phase(state, layout.control.bit(1)),
+            "apply_control_rotations": apply_control_rotations(state),
+            "collapse_qubit": collapse_qubit(state, qubit, outcome)[1],
+            "collapse_register": collapse_register(state, reg, value)[1],
+            "measure_qubit": measure_qubit(state, qubit, rng)[1],
+            "measure_register": measure_register(state, reg, rng)[1],
+            "reflect_good_subspace": reflect_good_subspace(state, seed % 2),
+            "reflect_about_state": reflect_about_state(
+                state, random_state(layout, seed + 1, mode)
+            ),
+        }
+        for name, got in outputs.items():
+            assert got.mode == mode, name
+            assert (got._idx is None) == (mode == "dense"), name
+            for array in (got._idx, got._amps):
+                assert array is None or not array.flags.writeable, name
+        converted = state.to_mode(other)
+        assert converted.mode == other
+        assert not converted._amps.flags.writeable
+        assert converted._idx is None or not converted._idx.flags.writeable
 
     @pytest.mark.parametrize("mask, value", [(0b101, 0), (0b110, 0b001)])
     def test_dense_selection_off_a_contiguous_mask_is_refused(self, mask, value):
