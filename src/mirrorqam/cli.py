@@ -41,6 +41,7 @@ from .retrieval import (
     complexity_uniform_approx,
     cos_power_average,
     grover_baseline,
+    law_distances,
     retrievable_mass,
     run_retrieval,
     simulate_distribution,
@@ -367,7 +368,9 @@ def cmd_complexity(args) -> tuple[dict, dict, list[dict]]:
     else:
         input_pattern = _parse_input(args.input)
         input_echo = str(input_pattern)
-        retrievable_mass(input_pattern, patterns, args.b_range[0])  # zero-mass guard
+        # Only the exponent changes with b, so the distances are computed once.
+        distances = law_distances(input_pattern, patterns)
+        retrievable_mass(input_pattern, patterns, args.b_range[0], distances)  # zero-mass guard
     rows = []
     for b in args.b_range:
         if args.uniform:
@@ -375,7 +378,7 @@ def cmd_complexity(args) -> tuple[dict, dict, list[dict]]:
             approx = complexity_uniform_approx(b)
             exact = math.sqrt(1.0 / cos_power_average(b))
         else:
-            cost = complexity_estimate(input_pattern, patterns, b)
+            cost = complexity_estimate(input_pattern, patterns, b, distances)
             approx = exact = ""
         rows.append(
             {

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -323,17 +324,31 @@ def run_pipeline(
     return undo_difference_encoding(state, input_pattern)
 
 
+def law_distances(input_pattern: BitPattern, patterns: PatternSet) -> list[int]:
+    """The input's Hamming distance to each stored pattern, in pattern order.
+
+    The law depends on the input only through these; a caller that
+    evaluates it at several b computes them once and passes them on.
+    """
+    check_width(patterns.n, input=input_pattern.n)
+    x = input_pattern.value
+    return [(x ^ q.value).bit_count() for q in patterns]
+
+
 def _law_weights(
-    input_pattern: BitPattern, patterns: PatternSet, b: int
+    input_pattern: BitPattern,
+    patterns: PatternSet,
+    b: int,
+    distances: Sequence[int] | None = None,
 ) -> list[float]:
     """cos^{2b}(pi d / 2n) per stored pattern, in pattern order.
 
-    A pattern at maximal distance n weighs exactly zero for b >= 1.
+    distances, when given, is law_distances(input_pattern, patterns). A
+    pattern at maximal distance n weighs exactly zero for b >= 1.
     """
-    check_width(patterns.n, input=input_pattern.n)
+    if distances is None:
+        distances = law_distances(input_pattern, patterns)
     n = patterns.n
-    x = input_pattern.value
-    distances = [(x ^ q.value).bit_count() for q in patterns]
     # One weight per distinct distance. cos(pi / 2) is not exactly 0, hence
     # the d = n case; for b = 0, x ** 0 is 1.0.
     by_distance = {
@@ -361,9 +376,18 @@ def analytic_distribution(
     return AnalyticDistribution(unnormalized, conditional, good_mass)
 
 
-def retrievable_mass(input_pattern: BitPattern, patterns: PatternSet, b: int) -> float:
-    """Good mass of the analytic law without its dicts; ZeroMassError when it is 0."""
-    return _good_mass(w / patterns.p for w in _law_weights(input_pattern, patterns, b))
+def retrievable_mass(
+    input_pattern: BitPattern,
+    patterns: PatternSet,
+    b: int,
+    distances: Sequence[int] | None = None,
+) -> float:
+    """Good mass of the analytic law without its dicts; ZeroMassError when it is 0.
+
+    distances, when given, is law_distances(input_pattern, patterns).
+    """
+    weights = _law_weights(input_pattern, patterns, b, distances)
+    return _good_mass(w / patterns.p for w in weights)
 
 
 def _good_mass(masses) -> float:
@@ -701,16 +725,21 @@ def simulate_distribution(
 
 
 def complexity_estimate(
-    input_pattern: BitPattern, patterns: PatternSet, b: int
+    input_pattern: BitPattern,
+    patterns: PatternSet,
+    b: int,
+    distances: Sequence[int] | None = None,
 ) -> float:
     """Amplification cost sqrt(p / sum_k cos^{2b}(pi d_k / 2n)).
 
     Equals the inverse square root of the within-branch good-subspace
     mass; infinite on zero-mass instances (reported, not raised).
+    distances, when given, is law_distances(input_pattern, patterns); the
+    sum runs in pattern order either way, so the cost is the same.
     """
     if b < 1:
         raise ValueError("b must be at least 1")
-    total = sum(_law_weights(input_pattern, patterns, b))
+    total = sum(_law_weights(input_pattern, patterns, b, distances))
     if total == 0.0:
         return math.inf
     return math.sqrt(patterns.p / total)

@@ -18,10 +18,13 @@ arithmetic over the whole support. int64 indices limit layouts to 63
 qubits. Dense mode keeps the full 2**total_qubits vector (no index
 array), at most 24 qubits, and is written separately, as the reference
 that sparse results are cross-validated against; both modes implement
-every operation and agree amplitude-by-amplitude. Dense kernels never
-build a per-basis-state index table: each reshapes the vector so that the
-qubit or register it acts on is one axis, then reverses, swaps, combines,
-scales or sums along that axis.
+every operation and agree amplitude-by-amplitude. Each dense kernel
+reshapes the vector so that the qubit or register it acts on is one axis,
+then swaps, combines, scales or sums along that axis. flip_bits treats the
+bits from the lowest to the highest flipped qubit as one axis and flips
+them with one gather along it, which moves the blocks below the lowest
+flipped qubit whole; its index array has one entry per value of that axis,
+so only a mask that spans every qubit builds one per basis state.
 
 A sparse selection (projection, masses, the good-subspace reflection,
 register_law) takes the same entries in the same order whether _selection
@@ -56,15 +59,17 @@ np.vdot call.
 All operations return new StateVector values. Every state, in either
 mode, is built by one constructor that marks the arrays it wraps
 read-only, so the arrays of an existing value are never mutated, even
-where an output shares its input's buffer (a dense flip_bits over every
-qubit returns a view), and sharing across threads is safe. Randomized
-operations take a seedable numpy Generator (np.random.default_rng);
-outcomes are deterministic given the seed and configuration.
+where an output shares an array with its input (a sparse gate that keeps
+the support passes its index array on), and sharing across threads is
+safe. Randomized operations take a seedable numpy Generator
+(np.random.default_rng); outcomes are deterministic given the seed and
+configuration.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -263,13 +268,15 @@ class StateVector:
     ) -> StateVector:
         """Build a state from distinct basis indices and their amplitudes.
 
-        The indices may come in any order. The amplitudes must be
-        normalized to within NORM_TOLERANCE; the constructor never
-        renormalizes.
+        The indices may come in any order and must be integers (TypeError
+        otherwise, never truncation). The amplitudes must be normalized to
+        within NORM_TOLERANCE; the constructor never renormalizes.
         """
         if mode not in ("sparse", "dense"):
             raise ValueError(f"unknown mode {mode!r}")
         idx = np.asarray(indices).ravel()
+        if idx.size and idx.dtype.kind not in "iu":
+            raise TypeError(f"basis indices must be integers, got dtype {idx.dtype}")
         amps = np.asarray(amplitudes, dtype=np.complex128).ravel()
         if idx.shape != amps.shape:
             raise ValueError(
@@ -295,8 +302,11 @@ class StateVector:
         return cls._wrap(layout, None, arr)
 
     def amplitude(self, index: int) -> complex:
-        """The amplitude of basis state index; IndexError outside [0, dim)."""
-        _check_index(self.layout, index)
+        """The amplitude of basis state index; IndexError outside [0, dim).
+
+        TypeError when index is not an integer.
+        """
+        index = _check_index(self.layout, index)
         if self.mode == "dense":
             return complex(self._amps[index])
         return complex(_gather(self._idx, self._amps, np.array([index]))[0])
@@ -308,7 +318,9 @@ class StateVector:
         """
         if self.mode == "sparse":
             return self._idx, self._amps
-        nonzero = np.flatnonzero(self._amps)
+        # A boolean pass: numpy's own nonzero scan of complex values is
+        # slower, and keeps the same entries (NaN kept, -0.0 dropped).
+        nonzero = np.flatnonzero(self._amps != 0)
         return nonzero, self._amps[nonzero]
 
     def items(self) -> Iterator[tuple[int, complex]]:
@@ -320,7 +332,7 @@ class StateVector:
     def support_size(self) -> int:
         if self.mode == "sparse":
             return int(self._idx.size)
-        return int(np.count_nonzero(self._amps))
+        return int(np.count_nonzero(self._amps != 0))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self._amps))
@@ -364,9 +376,15 @@ def _check_dense_size(layout: RegisterLayout) -> None:
         )
 
 
-def _check_index(layout: RegisterLayout, index: int) -> None:
+def _check_index(layout: RegisterLayout, index: int) -> int:
+    """index as an int; TypeError unless it is an integer, IndexError outside [0, dim)."""
+    try:
+        index = operator.index(index)
+    except TypeError:
+        raise TypeError(f"basis index {index!r} is not an integer") from None
     if not 0 <= index < layout.dim:
         raise IndexError(f"basis index {index} out of range")
+    return index
 
 
 def _check_qubit(state: StateVector, qubit: int) -> None:
@@ -471,9 +489,11 @@ def _select(
 
 def _nonzero(layout: RegisterLayout, idx: np.ndarray, amps: np.ndarray) -> StateVector:
     """Sparse state on sorted indices, without the amplitudes that are exactly 0."""
-    keep = amps != 0
-    if keep.all():
+    # Most outputs hold no exact 0, and one all() pass shows it without
+    # building the mask.
+    if amps.all():
         return StateVector._wrap(layout, idx, amps)
+    keep = amps != 0
     return StateVector._wrap(layout, idx[keep], amps[keep])
 
 
@@ -552,10 +572,20 @@ def flip_bits(state: StateVector, mask: int) -> StateVector:
     if state.mode == "sparse":
         flipped = _flipped_rows(state, mask)
         return _permuted(state, mask) if flipped is None else flipped
-    # Axis k of the (2,) * total view is qubit total - 1 - k.
-    axes = tuple(total - 1 - q for q in range(total) if (mask >> q) & 1)
-    flipped = np.flip(state._amps.reshape((2,) * total), axis=axes)
-    return StateVector._wrap(state.layout, None, flipped.reshape(-1))
+    # The middle axis of _blocks holds the bits from low up to the mask's
+    # highest bit; output row v is input row v ^ (mask >> low).
+    low = max((mask & -mask).bit_length() - 1, 0)
+    width = mask.bit_length() - low
+    out = np.empty_like(state._amps)
+    # mode="clip" writes straight into out; the default mode buffers it.
+    np.take(
+        _blocks(state._amps, low, width),
+        np.arange(1 << width) ^ (mask >> low),
+        axis=1,
+        out=_blocks(out, low, width),
+        mode="clip",
+    )
+    return StateVector._wrap(state.layout, None, out)
 
 
 def apply_not(state: StateVector, qubit: int) -> StateVector:
@@ -672,12 +702,12 @@ def _multiply_phases(rows: np.ndarray, k: int, phases: np.ndarray) -> None:
     view *= phases
 
 
-def _butterfly(live, low, high, tmp) -> None:
-    """apply_hadamard's arithmetic in place on the paired halves low/high of live."""
+def _butterfly(low, high, tmp) -> None:
+    """apply_hadamard's arithmetic in place on the paired halves low and high."""
     np.add(low, high, out=tmp)
     np.subtract(low, high, out=high)
-    low[...] = tmp
-    live *= _SQRT_HALF
+    np.multiply(tmp, _SQRT_HALF, out=low)
+    high *= _SQRT_HALF
 
 
 def _rotate_rows(rows: np.ndarray, filled: int, phases: np.ndarray) -> None:
@@ -709,9 +739,9 @@ def _rotate_rows(rows: np.ndarray, filled: int, phases: np.ndarray) -> None:
             np.multiply(low, _SQRT_HALF, out=high)
             np.add(high, 0.0, out=low)
         else:
-            _butterfly(live, low, high, tmp)
+            _butterfly(low, high, tmp)
         _multiply_phases(live, k, phases)
-        _butterfly(live, low, high, tmp)
+        _butterfly(low, high, tmp)
 
 
 def apply_control_rotations(state: StateVector) -> StateVector:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorqam import cli
-from mirrorqam.patterns import BitPattern
+from mirrorqam.errors import ZeroMassError
+from mirrorqam.patterns import BitPattern, parse_pattern_file
+from mirrorqam.retrieval import complexity_estimate
 
 REPORT_KEYS = {"config", "results", "version", "timing_ms"}
 
@@ -491,6 +494,41 @@ class TestComplexityCommand:
         lines = result.stdout.strip().splitlines()
         assert lines[0] == "b,instance_cost,uniform_approx,uniform_exact,grover_baseline"
         assert len(lines) == 3
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 80),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 40), min_size=1, max_size=8),
+)
+def test_complexity_costs_equal_complexity_estimate(n, p, seed, b_values):
+    # The command computes the distances once and sums each b's weights in
+    # pattern order, so every cost is complexity_estimate's, exactly.
+    rng = np.random.default_rng(seed)
+    values = rng.choice(1 << n, size=min(p, 1 << n), replace=False)
+    text = "".join(f"{BitPattern(int(v), n)}\n" for v in values)
+    patterns = parse_pattern_file(text)
+    input_pattern = BitPattern(int(rng.integers(1 << n)), n)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "patterns.txt"
+        path.write_text(text, encoding="utf-8")
+        args = cli.build_parser().parse_args([
+            "complexity", "--patterns", str(path), "--input", str(input_pattern),
+            "--b-range", ",".join(map(str, b_values)),
+        ])
+        try:
+            _, _, rows = cli.cmd_complexity(args)
+        except ZeroMassError:
+            assert all(
+                complexity_estimate(input_pattern, patterns, b) == math.inf
+                for b in b_values
+            )
+            return
+    assert [row["b"] for row in rows] == b_values
+    for row in rows:
+        assert row["instance_cost"] == complexity_estimate(input_pattern, patterns, row["b"])
 
 
 class TestReproducibility:

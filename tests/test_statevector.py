@@ -122,6 +122,22 @@ class TestConstruction:
             with pytest.raises(IndexError, match=f"basis index {index} out of range"):
                 StateVector.basis_state(state.layout, index, mode)
 
+    @pytest.mark.parametrize("mode", ["sparse", "dense"])
+    def test_refuses_non_integer_indices(self, mode):
+        lay = RegisterLayout.memory_only(2)
+        for indices in ([0.7, 2.2], [0.0, 2.0], np.array(["0", "2"])):
+            with pytest.raises(TypeError, match="basis indices must be integers"):
+                StateVector.from_arrays(lay, indices, [0.6, 0.8], mode)
+        state = bell(mode)
+        for index in (2.5, 3.0, np.float64(3.0), "3"):
+            with pytest.raises(TypeError, match="is not an integer"):
+                state.amplitude(index)
+            with pytest.raises(TypeError, match="is not an integer"):
+                StateVector.basis_state(lay, index, mode)
+        assert state.amplitude(np.int64(3)) == state.amplitude(np.uint8(3)) == SQ2
+        got = StateVector.from_arrays(lay, np.array([3, 0], np.uint16), [0.6, 0.8], mode)
+        assert got.as_dict() == {0: 0.8, 3: 0.6}
+
     def test_rejects_repeated_index(self):
         lay = RegisterLayout.memory_only(1)
         with pytest.raises(ValueError, match="distinct"):
@@ -764,8 +780,8 @@ class TestDenseAgainstOperators:
     @PROPERTY
     @given(any_order_layouts(2), seeds, st.sampled_from(["sparse", "dense"]))
     def test_every_state_wraps_read_only_arrays(self, layout, seed, mode):
-        # A dense flip_bits over every qubit returns a view of its input's
-        # buffer, so a writeable output would let a write reach the input.
+        # A sparse gate that keeps the support passes its input's index
+        # array on, so a writeable output would let a write reach the input.
         state = random_state(layout, seed, mode)
         rng = np.random.default_rng(seed)
         qubit = int(rng.integers(layout.total_qubits))
@@ -814,6 +830,86 @@ def assert_same_bits(got, want):
     """Equal arrays, bit for bit: unlike np.array_equal, -0.0 differs from +0.0."""
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# Entries a full-size pass must tell apart: signed zeros in either part,
+# NaN in either part, subnormals and ordinary values.
+SPECIAL_AMPLITUDES = np.array([
+    complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+    complex(math.nan, 0.0), complex(0.0, math.nan), complex(5e-324, 0.0),
+    complex(-0.0, -5e-324), complex(-2.5e-310, 1.0), complex(0.6, -0.8),
+])
+
+
+def special_state(layout, seed):
+    """A dense state, not normalized, of SPECIAL_AMPLITUDES drawn at random."""
+    rng = np.random.default_rng(seed)
+    amps = SPECIAL_AMPLITUDES[rng.integers(SPECIAL_AMPLITUDES.size, size=layout.dim)]
+    return StateVector._wrap(layout, None, amps)
+
+
+def np_flip(amps, mask, total):
+    """The former dense flip_bits: np.flip over a (2,) * total view, the oracle."""
+    axes = tuple(total - 1 - q for q in range(total) if (mask >> q) & 1)
+    return np.ascontiguousarray(np.flip(amps.reshape((2,) * total), axis=axes)).reshape(-1)
+
+
+class TestDenseScansAndFlips:
+    @PROPERTY
+    @given(st.one_of(any_order_layouts(3), layouts), seeds, seeds)
+    @example(RegisterLayout.retrieval(5, 3), 7, 0b1011)
+    def test_flip_bits_equals_np_flip(self, layout, seed, mask_seed):
+        state = special_state(layout, seed)
+        total = layout.total_qubits
+        mem = layout.memory
+        masks = {
+            0,
+            1,
+            1 << (total - 1),
+            layout.dim - 1,
+            mem.mask,
+            (mask_seed << mem.offset) & mem.mask,
+            mask_seed % layout.dim,
+        }
+        for reg in layout.registers:
+            masks |= {reg.mask, 1 << reg.offset, 1 << (reg.offset + reg.width - 1)}
+        for mask in sorted(masks):
+            got = flip_bits(state, mask)
+            assert got.mode == "dense"
+            assert not np.shares_memory(got._amps, state._amps)
+            assert_same_bits(got._amps, np_flip(state._amps, mask, total))
+
+    @PROPERTY
+    @given(st.one_of(any_order_layouts(3), layouts), seeds)
+    def test_dense_scans_equal_the_complex_nonzero(self, layout, seed):
+        state = special_state(layout, seed)
+        amps = state._amps
+        want = np.flatnonzero(amps)
+        idx, kept = state.arrays()
+        assert idx.dtype == want.dtype and np.array_equal(idx, want)
+        assert_same_bits(kept, amps[want])
+        assert state.support_size == np.count_nonzero(amps) == want.size
+        sparse = state.to_mode("sparse")
+        assert np.array_equal(sparse._idx, want)
+        assert_same_bits(sparse._amps, amps[want])
+
+    @PROPERTY
+    @given(st.one_of(any_order_layouts(3), layouts), seeds)
+    def test_nonzero_drops_signed_zeros_and_keeps_nan(self, layout, seed):
+        amps = special_state(layout, seed)._amps
+        idx = np.arange(layout.dim, dtype=np.int64)
+        got = statevector._nonzero(layout, idx, amps)
+        keep = np.flatnonzero(amps)
+        assert np.array_equal(got._idx, keep)
+        assert_same_bits(got._amps, amps[keep])
+        assert np.isnan(got._amps).sum() == np.isnan(amps).sum()
+
+    def test_nonzero_keeps_arrays_without_exact_zeros(self):
+        lay = RegisterLayout.memory_only(3)
+        amps = SPECIAL_AMPLITUDES[4:].copy()
+        idx = np.arange(2, 8, dtype=np.int64)
+        got = statevector._nonzero(lay, idx, amps)
+        assert got._idx is idx and got._amps is amps
 
 
 def gate_sequence(state):
