@@ -48,13 +48,30 @@ bit for bit. The phase keeps independent judges: the sparse
 apply_hamming_phase computes its phases per basis index, apart from the
 kernel's _distance_phases; the tests compare the sparse kernel with that
 gate sequence, the dense gates with explicit Kronecker-product operators,
-and the two modes with each other over random gate sequences. Inner
-products and masses in both modes sum np.vdot over consecutive blocks of
-8192 amplitudes: OpenBLAS splits a longer dot product across its worker
-threads, which then spin between calls, so a run would keep a second core
-busy, its speed would follow that core's load, and the sum would depend
-on the host's thread count. A vector of at most 8192 amplitudes is one
-np.vdot call.
+and the two modes with each other over random gate sequences.
+
+Inner products, masses and norm() in both modes sum np.vdot over
+consecutive blocks of 8192 amplitudes: OpenBLAS splits a longer dot
+product across its worker threads, which then spin between calls, so a
+run would keep a second core busy, its speed would follow that core's
+load, and the sum would depend on the host's thread count. A vector of at
+most 8192 amplitudes is one np.vdot call. Every reduction (these sums,
+cumsums and sums over axes) runs on the calling thread, since a block's
+np.vdot is too short to gain from a second one. The full-size elementwise
+passes instead run as two halves (_split) once their output holds 2**19
+entries and the process may run on two CPUs: the upper half on a thread
+started for the call, which is joined before the kernel goes on. They
+are the reflections, the good-subspace copy, the dense projection, the
+control rotations (split along the leading axis of their row view, so a
+retrieval state's two branches rotate apart), the dense flip_bits, the
+dense support scan of arrays() and support_size, and the squared
+magnitudes of the dense register_law. Each element goes through the same
+operations either way, so no result depends on the split. The thread
+writes only into arrays the calling thread allocated, which keeps large
+buffers out of a second malloc arena. 2**19 lies above the crossover,
+2**17 to 2**18 entries on two cores, where the thread's start and join
+(about 60 us) cost what half a pass saves; on one CPU the two halves
+would only take turns.
 
 All operations return new StateVector values. Every state, in either
 mode, is built by one constructor that marks the arrays it wraps
@@ -70,9 +87,11 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,6 +113,12 @@ _ROW_SORT_MIN = 4096
 # The largest power of two that OpenBLAS's dot product keeps on the
 # calling thread (it splits products of more than 10 000 elements).
 _DOT_BLOCK = 8192
+# An elementwise pass whose output holds at least this many entries runs as
+# two halves, one on a thread started for the call (_split). In-process on
+# two cores the split gains from 2**17 entries (multiply and subtract) or
+# 2**18 (a copy); at 2**19 both take 30-40 % less time, and the sparse
+# arrays of the wide-memory benchmark (2**18 entries at most) stay below.
+_SPLIT_MIN = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -318,9 +343,7 @@ class StateVector:
         """
         if self.mode == "sparse":
             return self._idx, self._amps
-        # A boolean pass: numpy's own nonzero scan of complex values is
-        # slower, and keeps the same entries (NaN kept, -0.0 dropped).
-        nonzero = np.flatnonzero(self._amps != 0)
+        nonzero = np.flatnonzero(_support_mask(self._amps))
         return nonzero, self._amps[nonzero]
 
     def items(self) -> Iterator[tuple[int, complex]]:
@@ -332,10 +355,10 @@ class StateVector:
     def support_size(self) -> int:
         if self.mode == "sparse":
             return int(self._idx.size)
-        return int(np.count_nonzero(self._amps != 0))
+        return int(np.count_nonzero(_support_mask(self._amps)))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self._amps))
+        return math.sqrt(_vdot(self._amps, self._amps).real)
 
     def to_mode(self, mode: str) -> StateVector:
         if mode == self.mode:
@@ -366,6 +389,17 @@ class StateVector:
             f"StateVector({self.layout!r}, mode={self.mode},"
             f" support={self.support_size})"
         )
+
+
+def _support_mask(amps: np.ndarray) -> np.ndarray:
+    """amps != 0, the support of dense amplitudes.
+
+    A boolean pass: numpy's own nonzero scan of complex values is slower,
+    and keeps the same entries (NaN kept, -0.0 dropped).
+    """
+    mask = np.empty(amps.shape, dtype=bool)
+    _split(lambda part: np.not_equal(amps[part], 0, out=mask[part]), mask)
+    return mask
 
 
 def _check_dense_size(layout: RegisterLayout) -> None:
@@ -404,6 +438,50 @@ def _blocks(amps: np.ndarray, offset: int, width: int) -> np.ndarray:
     The middle axis is the value of the width qubits starting at bit offset.
     """
     return amps.reshape(-1, 1 << width, 1 << offset)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    # On one CPU the two halves take turns, and a pass runs about 10 %
+    # slower than on one thread. Not every platform has the affinity call.
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split(step: Callable[[tuple], None], out: np.ndarray, axis: int = 0) -> None:
+    """Run step(part) over the two halves of out along axis.
+
+    part is an index tuple that picks one half of axis; step computes the
+    elements under it from its inputs under the same index and writes them
+    into out[part] only, through out=, copyto, fill or take(..., out=), so
+    each element goes through the same operations as in one step(all) call.
+    Every array step writes must be allocated by the caller. With at least
+    _SPLIT_MIN entries in out, two along axis and two CPUs to run on, the
+    upper half runs on a thread started for this call and the lower half
+    here; the thread is joined and any exception it raised is raised here.
+    """
+    count = out.shape[axis]
+    if out.size < _SPLIT_MIN or count < 2 or _cpus() < 2:
+        step((slice(None),) * (axis + 1))
+        return
+    lead = (slice(None),) * axis
+    failures: list[BaseException] = []
+
+    def upper() -> None:
+        try:
+            step((*lead, slice(count // 2, None)))
+        except BaseException as exc:  # raised again on the calling thread
+            failures.append(exc)
+
+    thread = threading.Thread(target=upper)
+    thread.start()
+    try:
+        step((*lead, slice(0, count // 2)))
+    finally:
+        thread.join()
+    if failures:
+        raise failures[0]
 
 
 def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
@@ -576,14 +654,14 @@ def flip_bits(state: StateVector, mask: int) -> StateVector:
     # highest bit; output row v is input row v ^ (mask >> low).
     low = max((mask & -mask).bit_length() - 1, 0)
     width = mask.bit_length() - low
+    src = _blocks(state._amps, low, width)
+    rows = np.arange(1 << width) ^ (mask >> low)
     out = np.empty_like(state._amps)
+    blocks = _blocks(out, low, width)
     # mode="clip" writes straight into out; the default mode buffers it.
-    np.take(
-        _blocks(state._amps, low, width),
-        np.arange(1 << width) ^ (mask >> low),
-        axis=1,
-        out=_blocks(out, low, width),
-        mode="clip",
+    _split(
+        lambda part: np.take(src[part], rows, axis=1, out=blocks[part], mode="clip"),
+        blocks,
     )
     return StateVector._wrap(state.layout, None, out)
 
@@ -717,9 +795,23 @@ def _rotate_rows(rows: np.ndarray, filled: int, phases: np.ndarray) -> None:
     axis, and holds +0.0 at every control value of bit length above
     filled. phases is _distance_phases of the rows' words; each qubit's
     phase step is _multiply_phases, as in the dense apply_hamming_phase.
+    Each leading row is rotated on its own, and _split runs the two halves
+    of the leading axis apart, so a retrieval state's branches rotate on
+    two threads. A view with one leading row runs on one thread: a column
+    slice of it would not be contiguous, and _rotate_part's reshapes would
+    copy it.
     """
     above, count, below = rows.shape
-    scratch = np.empty(rows.size // 2, dtype=np.complex128)
+    scratch = np.empty((above, rows[:1].size // 2), dtype=np.complex128)
+    _split(lambda part: _rotate_part(rows[part], filled, phases[part], scratch[part]), rows)
+
+
+def _rotate_part(
+    rows: np.ndarray, filled: int, phases: np.ndarray, scratch: np.ndarray
+) -> None:
+    """_rotate_rows on some leading rows, with half their size of scratch."""
+    above, count, below = rows.shape
+    scratch = scratch.reshape(-1)
     for k in range(count.bit_length() - 1):
         # Qubit k touches the first 2**max(filled, k + 1) rows, the live
         # ones. The gate sequence keeps the rows past them at +0.0: every
@@ -761,11 +853,22 @@ def apply_control_rotations(state: StateVector) -> StateVector:
     control = layout.control
     b = control.width
     if state.mode == "dense":
-        out = state._amps.copy()
+        src = _blocks(state._amps, control.offset, b)
+        out = np.empty_like(state._amps)
         rows = _blocks(out, control.offset, b)
+        # Each half scans the rows it has just copied; scanning the input
+        # instead made the dense rotation about 5 % slower on one CPU.
+        bits = rows.view(np.uint64)
+        set_rows = np.empty(rows.shape[:2], dtype=bool)
+
+        def copy(part):
+            np.copyto(rows[part], src[part])
+            np.any(bits[part], axis=2, out=set_rows[part])
+
+        _split(copy, rows)
         # filled is the bit length of the largest control value whose row
         # holds any set bit, -0.0 included, so every row past it is +0.0.
-        held = np.flatnonzero(rows.view(np.uint64).any(axis=(0, 2)))
+        held = np.flatnonzero(set_rows.any(axis=0))
         filled = int(held.max(initial=0)).bit_length()
         _rotate_rows(rows, filled, _dense_phases(layout, rows))
         return StateVector._wrap(layout, None, out)
@@ -825,8 +928,18 @@ def _project(
     if state.mode == "sparse":
         kept = kept / math.sqrt(probability)
         return probability, StateVector._wrap(state.layout, state._idx[key], kept)
-    out = np.zeros_like(view)
-    np.divide(kept, math.sqrt(probability), out=out[key])
+    value = key[1]
+    out = np.empty_like(view)
+
+    def step(part):
+        rows, src = out[part], view[part]
+        rows[:, :value].fill(0)
+        rows[:, value + 1 :].fill(0)
+        np.divide(src[:, value], math.sqrt(probability), out=rows[:, value])
+
+    # A qubit at the top of the layout leaves one leading row, so that
+    # projection splits its columns instead.
+    _split(step, out, 0 if view.shape[0] > 1 else 2)
     return probability, StateVector._wrap(state.layout, None, out.reshape(-1))
 
 
@@ -885,7 +998,15 @@ def register_law(state: StateVector, register: str | Register) -> RegisterLaw:
     """
     reg = _register(state, register)
     if state.mode == "dense":
-        blocks = np.abs(_blocks(state._amps, reg.offset, reg.width)) ** 2
+        amps = _blocks(state._amps, reg.offset, reg.width)
+        blocks = np.empty(amps.shape)
+
+        def square(part):
+            masses = blocks[part]
+            np.abs(amps[part], out=masses)
+            masses **= 2
+
+        _split(square, blocks)
         marginal = blocks.sum(axis=(0, 2))
         return RegisterLaw(
             np.cumsum(marginal),
@@ -934,21 +1055,30 @@ def reflect_about_state(state: StateVector, axis: StateVector) -> StateVector:
         raise DimensionError("layout mismatch between state and reflection axis")
     axis = axis.to_mode(state.mode)
     coeff = 2.0 * inner_product(axis, state)
-    if state.mode == "dense":
-        amps = np.multiply(coeff, axis._amps)
-        amps -= state._amps
-        return StateVector._wrap(state.layout, None, amps)
     support = axis._idx
-    if not (
-        state._idx is support
-        or np.array_equal(support, state._idx)
-        or _lookup(support, state._idx)[1].all()
-    ):
-        # The state reaches outside the axis support (amplification never
-        # does: each round keeps part of the axis support), so merge the two.
-        support = np.union1d(support, state._idx)
-    amps = np.multiply(coeff, _gather(axis._idx, axis._amps, support))
-    amps -= _gather(state._idx, state._amps, support)
+    if state.mode == "dense":
+        along, start = axis._amps, state._amps
+    else:
+        if not (
+            state._idx is support
+            or np.array_equal(support, state._idx)
+            or _lookup(support, state._idx)[1].all()
+        ):
+            # The state reaches outside the axis support (amplification
+            # never does: each round keeps part of the axis support), so
+            # merge the two.
+            support = np.union1d(support, state._idx)
+        along = _gather(axis._idx, axis._amps, support)
+        start = _gather(state._idx, state._amps, support)
+    amps = np.empty_like(start)
+
+    def step(part):
+        np.multiply(coeff, along[part], out=amps[part])
+        np.subtract(amps[part], start[part], out=amps[part])
+
+    _split(step, amps)
+    if support is None:
+        return StateVector._wrap(state.layout, None, amps)
     return _nonzero(state.layout, support, amps)
 
 
@@ -963,7 +1093,8 @@ def reflect_good_subspace(state: StateVector, branch: int) -> StateVector:
     """Negate amplitudes whose control register is all-0 (branch 0) or all-1 (branch 1)."""
     reg = state.layout.control
     target = good_control(reg, branch) << reg.offset
-    out = state._amps.copy()
+    out = np.empty_like(state._amps)
+    _split(lambda part: np.copyto(out[part], state._amps[part]), out)
     view, key = _select(out, state._idx, reg.mask, target)
     view[key] = -view[key]
     return StateVector._wrap(state.layout, state._idx, out)

@@ -7,7 +7,10 @@ takes 24 B (an int64 index and a complex128 value), and the budget leaves
 room for the temporaries of one gate beside its input and output. The
 dense budget is bytes per basis state: a dense amplitude takes 16 B, and
 the budget holds a gate's input, its output and a half-size scratch,
-which leaves no room for a second full-size temporary.
+which leaves no room for a second full-size temporary. Every test runs
+twice: with each pass on one thread, and with every pass split over two
+(statevector._split), whose thread writes only into arrays the calling
+thread allocated, so the budgets are the same.
 """
 
 import tracemalloc
@@ -15,6 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mirrorqam import statevector
 from mirrorqam.patterns import BitPattern, PatternSet
 from mirrorqam.retrieval import (
     GammaMode,
@@ -45,6 +49,15 @@ def random_instance(n, p):
     words = rng.choice(np.arange(1, (1 << n) - 1), size=p, replace=False)
     patterns = PatternSet(tuple(BitPattern(int(w), n) for w in words))
     return BitPattern(0, n), patterns
+
+
+@pytest.fixture(autouse=True, params=["one thread", "split"])
+def split_path(request, monkeypatch):
+    if request.param == "split":
+        monkeypatch.setattr(statevector, "_SPLIT_MIN", 1)
+        monkeypatch.setattr(statevector, "_cpus", lambda: 2)
+    else:
+        monkeypatch.setattr(statevector, "_SPLIT_MIN", 1 << 62)
 
 
 @pytest.fixture(scope="module")

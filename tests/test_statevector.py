@@ -1,5 +1,10 @@
 import cmath
+import contextlib
 import math
+import os
+import sys
+import threading
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -9,11 +14,15 @@ from hypothesis import strategies as st
 
 from mirrorqam import statevector
 from mirrorqam.errors import DimensionError
-from mirrorqam.patterns import BitPattern, PatternSet
+from mirrorqam.patterns import BitPattern, PatternSet, random_pattern_set
 from mirrorqam.retrieval import (
+    GammaMode,
+    RetrievalConfig,
     amplitude_amplify,
     apply_difference_encoding,
     prepare_initial,
+    run_pipeline,
+    run_retrieval,
 )
 from mirrorqam.statevector import (
     NORM_TOLERANCE,
@@ -431,6 +440,36 @@ class TestInnerProduct:
             assert got == want
         else:
             assert got == pytest.approx(want, abs=1e-13)
+
+    def test_no_library_reduction_spans_more_than_one_block(self, monkeypatch):
+        # OpenBLAS splits a product of more than 10 000 elements across
+        # threads that keep spinning after the call. A dense retrieval run
+        # and the tracer's norm() on 2^17 amplitudes must hand numpy's dot
+        # products and norm at most one block each.
+        def guarded(name, call):
+            def check(*args, **kwargs):
+                sizes = [np.size(a) for a in args if isinstance(a, np.ndarray)]
+                if max(sizes, default=0) > statevector._DOT_BLOCK:
+                    pytest.fail(f"{name} called on {max(sizes)} elements")
+                return call(*args, **kwargs)
+
+            return check
+
+        for name in ("vdot", "dot"):
+            monkeypatch.setattr(np, name, guarded(name, getattr(np, name)))
+        monkeypatch.setattr(np.linalg, "norm", guarded("norm", np.linalg.norm))
+        rng = np.random.default_rng(17)
+        patterns = random_pattern_set(10, 64, rng)
+        x = BitPattern(int(rng.integers(1 << 10)), 10)
+        state = run_pipeline(x, patterns, 0.5, 0.5, 6, mode="dense")
+        assert state.layout.dim == 1 << 17
+        config = RetrievalConfig(6, GammaMode.fixed(0.5), seed=3, representation="dense")
+        assert run_retrieval(x, patterns, config).rounds
+        branch = collapse_qubit(state, state.layout.ancilla.offset, 0)[1]
+        amplified = amplitude_amplify(branch, 0, 2)
+        assert amplified.allclose(amplitude_amplify(branch.to_mode("sparse"), 0, 2), 1e-12)
+        measure_register(amplified, "control", np.random.default_rng(1))
+        assert abs(amplified.norm() - 1.0) < NORM_TOLERANCE
 
 
 def _random_op(state, rng):
@@ -1329,3 +1368,233 @@ class TestFlipByRows:
         state = random_state(layout, seed)
         mask = mask_seed % layout.dim
         assert_flip_by_rows(state, mask, equal_runs(state, mask))
+
+
+def split_patches(cpus=2, starts=None):
+    """Patches that split every pass of _split over two threads.
+
+    The size constant drops to 1 and _cpus reports cpus, so the split runs
+    even on a one-CPU host; starts, when given, collects one entry per
+    thread started.
+    """
+    patches = {"_SPLIT_MIN": 1, "_cpus": lambda: cpus}
+    if starts is not None:
+        def thread(**kwargs):
+            starts.append(kwargs)
+            return threading.Thread(**kwargs)
+
+        patches["threading"] = SimpleNamespace(Thread=thread)
+    return mock.patch.multiple(statevector, **patches)
+
+
+def split_and_whole(call):
+    """(call() split over two threads, call() on one, threads the split started)."""
+    starts = []
+    with split_patches(starts=starts):
+        split = call()
+    with mock.patch.object(statevector, "_SPLIT_MIN", 1 << 62):
+        whole = call()
+    return split, whole, len(starts)
+
+
+def assert_same_result(got, want):
+    """Equal kernel results, bit for bit: states, laws, arrays and numbers."""
+    assert type(got) is type(want)
+    if isinstance(got, StateVector):
+        assert got.layout == want.layout and got.mode == want.mode
+        if got.mode == "sparse":
+            assert np.array_equal(got._idx, want._idx)
+        assert_same_bits(got._amps, want._amps)
+    elif isinstance(got, tuple):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same_result(a, b)
+    elif isinstance(got, np.ndarray) and got.dtype.kind in "fc":
+        assert_same_bits(got, want)
+    elif isinstance(got, float):
+        assert_same_bits(np.array([got]), np.array([want]))
+    else:
+        assert np.array_equal(got, want)
+
+
+@contextlib.contextmanager
+def check(name):
+    """Name the kernel in an assertion failure raised inside."""
+    try:
+        yield
+    except AssertionError as exc:
+        raise AssertionError(f"{name}: {exc}") from exc
+
+
+def split_kernel_calls(state, axis, seed):
+    """Every kernel _split serves, on state: (name, call) pairs."""
+    layout = state.layout
+    total = layout.total_qubits
+    rng = np.random.default_rng(seed)
+    calls = [
+        ("rotations", lambda: apply_control_rotations(state)),
+        ("reflect about", lambda: reflect_about_state(state, axis)),
+        ("arrays", lambda: state.arrays()),
+        ("support", lambda: state.support_size),
+    ]
+    for branch in (0, 1):
+        calls.append((f"good {branch}", lambda b=branch: reflect_good_subspace(state, b)))
+    for mask in {1 << (total - 1), layout.memory.mask, int(rng.integers(layout.dim))}:
+        calls.append((f"flip {mask:#x}", lambda m=mask: flip_bits(state, m)))
+    for reg in layout.registers:
+        calls.append((f"law {reg.name}", lambda r=reg: register_law(state, r)))
+        law = register_law(state, reg)
+        value = int(law.outcomes[law.clamp]) if state.mode == "sparse" else law.clamp
+        calls.append((f"collapse {reg.name}", lambda r=reg, v=value: collapse_register(state, r, v)))
+    for qubit in (0, total - 1):
+        outcome = 1 if subspace_mass(state, 1 << qubit, 1 << qubit) > 0 else 0
+        calls.append((f"collapse q{qubit}", lambda q=qubit, o=outcome: collapse_qubit(state, q, o)))
+    return calls
+
+
+class TestSplitKernels:
+    # Each pass _split runs over two halves computes every element as one
+    # pass would, so the kernels return the same bits either way.
+    @PROPERTY
+    @given(any_order_layouts(3), seeds, seeds, st.sampled_from(["sparse", "dense"]))
+    @example(RegisterLayout.retrieval(4, 3), 1, 2, "sparse")
+    @example(RegisterLayout.retrieval(4, 3), 1, 2, "dense")
+    def test_split_kernels_equal_one_thread(self, layout, seed, axis_seed, mode):
+        # The axis is drawn apart from the state, so in sparse mode the state
+        # usually reaches outside its support.
+        state = random_state(layout, seed, mode)
+        axis = random_state(layout, axis_seed, mode)
+        started = 0
+        for name, call in split_kernel_calls(state, axis, seed):
+            split, whole, starts = split_and_whole(call)
+            with check(name):
+                assert_same_result(split, whole)
+            started += starts
+        assert started > 0 or mode == "sparse"
+
+    def test_sparse_rotation_splits_its_two_groups(self):
+        # Both ancilla values: the buffer has two groups, one per thread.
+        layout = RegisterLayout.retrieval(4, 3)
+        idx, amps = rotation_input(layout, 8, 0, 32)
+        assert np.unique(idx >> layout.ancilla.offset).size == 2
+        state = StateVector.from_arrays(layout, idx, amps)
+        split, whole, starts = split_and_whole(lambda: apply_control_rotations(state))
+        assert starts == 1
+        assert_same_result(split, whole)
+        assert_same_result(split, gate_sequence(state))
+
+    def test_dense_rotation_with_filled_rows(self):
+        # The lower half (ancilla 0) holds controls 0 and 1 only; the upper
+        # half also holds control 5 and a -0.0 at control 6, so filled comes
+        # from the upper half's share of the split scan.
+        layout = RegisterLayout.retrieval(4, 3)
+        idx, amps = rotation_input(layout, 9, 1, 64)
+        upper = 1 << layout.ancilla.offset
+        coff = layout.control.offset
+        extra = [upper | 5 << coff | 3, upper | 6 << coff | 9]
+        assert not np.isin(extra, idx).any()
+        state = StateVector.from_arrays(
+            layout, [*idx, *extra], [*(0.8 * amps), 0.6, complex(-0.0, 0.0)], "dense"
+        )
+        split, whole, starts = split_and_whole(lambda: apply_control_rotations(state))
+        assert starts == 2  # the copy with its scan, then the rotation
+        assert_same_result(split, whole)
+        assert_same_bits(dense_vector(split), dense_vector(gate_sequence(state)))
+
+    def test_top_qubit_flip_runs_on_one_thread(self):
+        # The split axis of _blocks holds one entry when the mask reaches
+        # the top qubit.
+        layout = RegisterLayout.retrieval(3, 2)
+        state = special_state(layout, 4)
+        top = 1 << (layout.total_qubits - 1)
+        split, whole, starts = split_and_whole(lambda: flip_bits(state, top | 1))
+        assert starts == 0
+        assert_same_result(split, whole)
+        assert_same_bits(split._amps, np_flip(state._amps, top | 1, layout.total_qubits))
+
+    def test_reflection_outside_the_axis_support(self):
+        layout = RegisterLayout.retrieval(3, 2)
+        axis = StateVector.from_arrays(layout, [0, 5], [0.6, 0.8])
+        state = StateVector.from_arrays(layout, [5, 9, 33], [0.6, 0.0, 0.8])
+        split, whole, starts = split_and_whole(lambda: reflect_about_state(state, axis))
+        assert starts == 1
+        assert_same_result(split, whole)
+        assert split.arrays()[0].tolist() == [0, 5, 33]
+
+    def test_top_qubit_projection_splits_its_columns(self):
+        layout = RegisterLayout.retrieval(3, 2)
+        state = random_state(layout, 12, "dense", size=layout.dim)
+        top = layout.total_qubits - 1
+        split, whole, starts = split_and_whole(lambda: collapse_qubit(state, top, 1))
+        assert starts == 1
+        assert_same_result(split, whole)
+
+    @pytest.mark.parametrize("failing", ["lower", "upper"])
+    def test_split_raises_either_half_exception(self, failing):
+        out = np.zeros(8)
+        alive = threading.active_count()
+
+        def step(part):
+            half = "upper" if part[0].start else "lower"
+            if half == failing:
+                raise RuntimeError(half)
+            out[part] = 1.0
+
+        with split_patches(), pytest.raises(RuntimeError, match=failing):
+            statevector._split(step, out)
+        assert threading.active_count() == alive
+        assert out.sum() == 4.0  # the other half ran
+
+    def test_one_cpu_starts_no_thread(self):
+        layout = RegisterLayout.retrieval(4, 3)
+        state = random_state(layout, 5, "dense")
+        starts = []
+        with split_patches(cpus=1, starts=starts):
+            for _, call in split_kernel_calls(state, state, 5):
+                call()
+        assert starts == []
+        if hasattr(os, "sched_getaffinity"):
+            assert statevector._cpus() == len(os.sched_getaffinity(0))
+
+    def test_stress_more_callers_than_cpus(self):
+        # Each caller splits the passes of its own states while the others
+        # do the same, with thread switches forced as often as the
+        # interpreter allows; every result must equal its one-thread run.
+        callers = 2 * statevector._cpus() + 2
+        layout = RegisterLayout.retrieval(6, 3)
+        jobs = []
+        for j in range(callers):
+            mode = ("sparse", "dense")[j % 2]
+            state = random_state(layout, 100 + j, mode)
+            axis = random_state(layout, 200 + j, mode)
+            calls = split_kernel_calls(state, axis, j)
+            with mock.patch.object(statevector, "_SPLIT_MIN", 1 << 62):
+                jobs.append((calls, [call() for _, call in calls]))
+        results = [None] * callers
+        errors = []
+
+        def run(j):
+            calls, _ = jobs[j]
+            try:
+                results[j] = [[call() for _, call in calls] for _ in range(3)]
+            except Exception as exc:  # noqa: BLE001 - reported by the test below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        threads = [threading.Thread(target=run, args=(j,)) for j in range(callers)]
+        with split_patches():
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for (calls, want), got in zip(jobs, results):
+            for repeat in got:
+                for (name, _), a, b in zip(calls, repeat, want):
+                    with check(name):
+                        assert_same_result(a, b)
