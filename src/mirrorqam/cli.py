@@ -52,6 +52,10 @@ from .retrieval import (
 _FLAT = frozenset((str, int, float, bool, type(None)))
 _encode_key = json.encoder.encode_basestring_ascii
 
+# The largest b a cost table takes: a uniform 1:4096 table takes seconds,
+# and cos_power_average's exact binomial grows with b.
+MAX_TABLE_B = 4096
+
 
 def _dumps(value, indent: str = "\n") -> str:
     """json.dumps(value, sort_keys=True, indent=2) of a report value, in one pass.
@@ -110,25 +114,28 @@ def _parse_input(text: str) -> BitPattern:
 
 
 def _parse_b_range(text: str) -> list[int]:
-    """Accept a single b, an inclusive A:B range, or a comma list."""
+    """Accept a single b, an inclusive A:B range, or a comma list.
+
+    Every b lies in 1..MAX_TABLE_B; a range is checked at its ends, before
+    its list is built.
+    """
     try:
         if ":" in text:
-            lo, hi = text.split(":", 1)
-            lo, hi = int(lo), int(hi)
-            if lo < 1 or hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        if "," in text:
-            values = [int(v) for v in text.split(",")]
+            lo, hi = map(int, text.split(":", 1))
+            ends = [lo, hi] if lo <= hi else []
         else:
-            values = [int(text)]
-        if any(v < 1 for v in values):
+            ends = [int(v) for v in text.split(",")]
+        if not ends or min(ends) < 1:
             raise ValueError
-        return values
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected B, A:B, or a comma list of positive ints, got {text!r}"
         ) from None
+    if max(ends) > MAX_TABLE_B:
+        raise argparse.ArgumentTypeError(
+            f"b may be at most {MAX_TABLE_B}, got {text!r}"
+        )
+    return list(range(lo, hi + 1)) if ":" in text else ends
 
 
 def _int_at_least(low: int, kind: str):
@@ -422,8 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Associative retrieval over pattern memories: distribution"
             " comparison, single retrievals, cloning feasibility, and cost"
-            " tables. Pattern files hold one 0/1 word per line; '#' starts"
-            " a comment."
+            " tables. Pattern files hold one 0/1 word per line; blank lines"
+            " and lines whose first non-blank character is '#' are skipped,"
+            " and a '#' after a word is an error."
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)

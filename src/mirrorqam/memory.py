@@ -80,10 +80,9 @@ def build_memory_state(
         layout = RegisterLayout.memory_only(patterns.n)
     mem = layout.memory
     check_width(patterns.n, memory=mem.width)
-    amp = complex(1.0 / math.sqrt(patterns.p))
-    return StateVector.from_amplitudes(
-        layout, {q.value << mem.offset: amp for q in patterns}, mode=mode
-    )
+    words = np.array(patterns.values, dtype=np.int64) << mem.offset
+    amps = np.full(patterns.p, 1.0 / math.sqrt(patterns.p))
+    return StateVector.from_arrays(layout, words, amps, mode=mode)
 
 
 def build_mirror_state(
@@ -99,9 +98,8 @@ def memory_overlap(patterns: PatternSet) -> float:
     Equals the inner product of the built states; computed combinatorially
     as |{i : mirror(p_i) stored}| / p, which is exact at any size.
     """
-    stored = set(patterns.patterns)
-    paired = sum(1 for q in patterns if q.mirror() in stored)
-    return paired / patterns.p
+    stored = set(patterns.values)
+    return len(stored.intersection(mirror_set(patterns).values)) / patterns.p
 
 
 def solve_efficiencies(s: float) -> CloningSolution:
@@ -209,7 +207,7 @@ def apply_clone(
         layout = RegisterLayout.cloning(patterns.n)
     master, copy_reg, anc = layout.memory, layout.register("copy"), layout.ancilla
     check_width(patterns.n, memory=master.width, copy=copy_reg.width)
-    stored = np.array([q.value for q in patterns], dtype=np.int64)
+    stored = np.array(patterns.values, dtype=np.int64)
     mirrored = stored ^ ((1 << patterns.n) - 1)
     if source == "memory":
         first, weights, copies = stored, (gamma, gamma_bar), (stored, mirrored)

@@ -4,10 +4,13 @@ Bit-order convention: a pattern is written leftmost-first, so the leftmost
 character of a line is qubit 1 of the corresponding register. A pattern is
 stored as one word: bit j of BitPattern.value is character j of the string,
 the little-endian order of basis indices, so a pattern shifted by a
-register's offset is that register's part of a basis index. This module
+register's offset is that register's part of a basis index. A PatternSet
+is n plus its words (PatternSet.values, a tuple of ints in file order);
+BitPattern values are built only when the set is iterated. This module
 alone converts between bit strings and words. Pattern files are UTF-8
-text with one pattern per line; blank lines and lines starting with '#'
-are ignored. Duplicate patterns are rejected rather than silently
+text with one pattern per line; blank lines and lines whose first
+non-blank character is '#' are ignored, and a '#' after a pattern is a
+non-binary character. Duplicate patterns are rejected rather than silently
 deduplicated, because the stored superposition weights every pattern
 equally and a silent dedup would change the pattern count.
 """
@@ -66,42 +69,45 @@ class BitPattern:
 
 @dataclass(frozen=True)
 class PatternSet:
-    """p pairwise-distinct patterns of common length n; the memory content."""
+    """p pairwise-distinct n-bit words; the memory content.
 
-    patterns: tuple[BitPattern, ...]
+    values holds the words in file order, bit j of a word being character
+    j of its pattern string, exact at any n. Equality and the hash are
+    those of (values, n). Iterating yields BitPatterns in that order, built
+    on demand.
+    """
+
+    values: tuple[int, ...]
+    n: int
 
     def __post_init__(self):
-        if not self.patterns:
+        if not self.values:
             raise PatternParseError("pattern set is empty")
-        n = self.patterns[0].n
-        for q in self.patterns:
-            if q.n != n:
-                raise DimensionError(
-                    f"patterns must share one length: got {q.n} and {n}"
-                )
-        if len(set(self.patterns)) != len(self.patterns):
+        if self.n < 1 or min(self.values) < 0 or max(self.values) >> self.n:
+            raise ValueError(f"words must lie in [0, 2^n), n >= 1; got n = {self.n}")
+        if len(set(self.values)) != len(self.values):
             raise PatternParseError("patterns must be pairwise distinct")
 
     @classmethod
     def from_strings(cls, words: Iterable[str]) -> PatternSet:
-        return cls(tuple(BitPattern.from_string(w) for w in words))
-
-    @property
-    def n(self) -> int:
-        return self.patterns[0].n
+        patterns = [BitPattern.from_string(w) for w in words]
+        n = patterns[0].n if patterns else 1  # an empty set is refused below
+        for q in patterns:
+            if q.n != n:
+                raise DimensionError(
+                    f"patterns must share one length: got {q.n} and {n}"
+                )
+        return cls(tuple(q.value for q in patterns), n)
 
     @property
     def p(self) -> int:
-        return len(self.patterns)
+        return len(self.values)
 
     def __len__(self) -> int:
-        return len(self.patterns)
+        return len(self.values)
 
     def __iter__(self) -> Iterator[BitPattern]:
-        return iter(self.patterns)
-
-    def __contains__(self, item: BitPattern) -> bool:
-        return item in self.patterns
+        return (BitPattern(v, self.n) for v in self.values)
 
 
 def check_width(n: int, **widths: int) -> None:
@@ -129,8 +135,9 @@ def mirror(a: BitPattern) -> BitPattern:
 
 
 def mirror_set(s: PatternSet) -> PatternSet:
-    """Elementwise bitwise complement; preserves count and distinctness."""
-    return PatternSet(tuple(q.mirror() for q in s.patterns))
+    """Elementwise bitwise complement; preserves order, count and distinctness."""
+    full = (1 << s.n) - 1
+    return PatternSet(tuple(v ^ full for v in s.values), s.n)
 
 
 def parse_pattern_file(text: str) -> PatternSet:
@@ -167,7 +174,7 @@ def parse_pattern_file(text: str) -> PatternSet:
                 line=lineno,
             )
         first_seen[word] = lineno
-    return PatternSet(tuple(BitPattern(int(word[::-1], 2), width) for _, word in rows))
+    return PatternSet(tuple(int(word[::-1], 2) for word in first_seen), width)
 
 
 def random_pattern_set(n: int, p: int, rng) -> PatternSet:
@@ -179,4 +186,4 @@ def random_pattern_set(n: int, p: int, rng) -> PatternSet:
     chosen: set[int] = set()
     while len(chosen) < p:
         chosen.add(int(rng.integers(0, 2**n)))
-    return PatternSet(tuple(BitPattern(v, n) for v in sorted(chosen)))
+    return PatternSet(tuple(sorted(chosen)), n)

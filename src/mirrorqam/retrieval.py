@@ -263,7 +263,7 @@ def prepare_initial(
     check_width(patterns.n, input=input_pattern.n, memory=mem.width)
     check_branch_weights(gamma, gamma_bar)
     p = patterns.p
-    words = np.array([q.value for q in patterns], dtype=np.int64) << mem.offset
+    words = np.array(patterns.values, dtype=np.int64) << mem.offset
     mirrored = (words ^ mem.mask) | (1 << anc.offset)
     # A branch weight that is 0, or rounds to 0 over p, gives zero amplitudes:
     # that branch is absent in either mode.
@@ -332,7 +332,7 @@ def law_distances(input_pattern: BitPattern, patterns: PatternSet) -> list[int]:
     """
     check_width(patterns.n, input=input_pattern.n)
     x = input_pattern.value
-    return [(x ^ q.value).bit_count() for q in patterns]
+    return [(x ^ v).bit_count() for v in patterns.values]
 
 
 def _law_weights(

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,15 @@ class TestCloneCheckCommand:
         assert "discriminant" in results["diagnostic"]
         assert results["gram"]["passed"] is False
 
+    def test_70_bit_words(self, pattern_file):
+        # Words wider than int64: the overlap is counted on the ints.
+        path = pattern_file("0" * 70 + "\n" + "1" * 70 + "\n" + "01" * 35 + "\n")
+        result = run_cli("clone-check", "--patterns", path)
+        assert result.returncode == 0, result.stderr
+        results = json.loads(result.stdout)["results"]
+        assert results["overlap"] == pytest.approx(2 / 3)
+        assert results["verdict"] == "infeasible"
+
     def test_csv_row(self, pattern_file):
         path = pattern_file("00\n11\n")
         result = run_cli("clone-check", "--patterns", path, "--format", "csv")
@@ -417,6 +427,45 @@ class TestUsageErrors:
             " over the limit of 16777216"
         ]
 
+    def test_comment_after_a_word_exits_2(self, pattern_file):
+        # Only a line whose first non-blank character is '#' is a comment.
+        path = pattern_file("0101  # note\n")
+        result = run_cli("clone-check", "--patterns", path)
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            "error: line 1: non-binary character ' ' in pattern '0101  # note'"
+        ]
+
+    @pytest.mark.parametrize("b_range", ["1:1000000000000", "4097", "1,4097"])
+    def test_b_range_over_the_cap_exits_2(self, pattern_file, b_range):
+        path = pattern_file("00\n01\n")
+        result = run_cli(
+            "complexity", "--patterns", path, "--uniform", "--b-range", b_range
+        )
+        assert result.returncode == 2
+        errors = [line for line in result.stderr.splitlines() if "error" in line]
+        assert errors == [
+            "mirrorqam complexity: error: argument --b-range:"
+            f" b may be at most {cli.MAX_TABLE_B}, got {b_range!r}"
+        ]
+
+    def test_huge_b_range_is_refused_before_any_list_is_built(self, capsys):
+        cli.build_parser()
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as usage:
+                cli.main(["complexity", "--patterns", "unread.txt", "--uniform",
+                          "--b-range", "1:1000000000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert usage.value.code == 2
+        assert "b may be at most" in capsys.readouterr().err
+        assert peak < 64 * 1024  # list(range(1, 4097)) alone holds 140 kB
+        assert cli._parse_b_range(f"1:{cli.MAX_TABLE_B}") == list(
+            range(1, cli.MAX_TABLE_B + 1)
+        )
+
     def test_nan_branch_weight_is_a_parse_error(self, pattern_file):
         path = pattern_file("00\n01\n")
         result = run_cli(
@@ -468,6 +517,17 @@ class TestComplexityCommand:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["results"]["grover_baseline"] == "inf"
+
+    def test_70_bit_instance_costs_are_finite(self, pattern_file):
+        # Distances 0, 70 and 35 from the input: cost sqrt(3 / (1 + 2^-b)).
+        path = pattern_file("0" * 70 + "\n" + "1" * 70 + "\n" + "01" * 35 + "\n")
+        result = run_cli(
+            "complexity", "--patterns", path, "--input", "0" * 70, "--b-range", "1:3"
+        )
+        assert result.returncode == 0, result.stderr
+        table = json.loads(result.stdout)["results"]["table"]
+        costs = [row["instance_cost"] for row in table]
+        assert costs == pytest.approx([math.sqrt(3 / (1 + 2.0**-b)) for b in (1, 2, 3)])
 
     def test_instance_table_exact_match(self, pattern_file):
         path = pattern_file("0101\n")

@@ -47,7 +47,7 @@ def random_instance(n, p):
     """
     rng = np.random.default_rng(2024)
     words = rng.choice(np.arange(1, (1 << n) - 1), size=p, replace=False)
-    patterns = PatternSet(tuple(BitPattern(int(w), n) for w in words))
+    patterns = PatternSet(tuple(int(w) for w in words), n)
     return BitPattern(0, n), patterns
 
 

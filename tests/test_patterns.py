@@ -1,9 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorqam.errors import DimensionError, PatternParseError
-from mirrorqam.memory import apply_clone, build_memory_state
+from mirrorqam.memory import apply_clone, build_memory_state, memory_overlap
 from mirrorqam.patterns import (
     BitPattern,
     PatternSet,
@@ -17,6 +19,7 @@ from mirrorqam.patterns import (
 from mirrorqam.retrieval import (
     analytic_distribution,
     apply_difference_encoding,
+    law_distances,
     prepare_initial,
 )
 from mirrorqam.statevector import RegisterLayout, StateVector
@@ -26,6 +29,34 @@ from conftest import random_input
 
 def bp(text):
     return BitPattern.from_string(text)
+
+
+def word_string(value, n):
+    """Character j is bit j of value."""
+    return "".join(str((value >> j) & 1) for j in range(n))
+
+
+def complement(text):
+    return "".join("10"[int(c)] for c in text)
+
+
+@st.composite
+def word_sets(draw):
+    """(values, n): up to 64 distinct n-bit words, n in 1..70, in drawn order.
+
+    Some complements of the drawn words are appended, so the overlap is
+    not almost always 0 at large n.
+    """
+    n = draw(st.integers(1, 70))
+    values = draw(
+        st.lists(
+            st.integers(0, (1 << n) - 1), min_size=1, max_size=min(32, 1 << n),
+            unique=True,
+        )
+    )
+    full = (1 << n) - 1
+    values += [v ^ full for v in values if draw(st.booleans())]
+    return tuple(dict.fromkeys(values)), n
 
 
 class TestBitPattern:
@@ -111,7 +142,29 @@ class TestPatternSet:
 
     def test_rejects_empty(self):
         with pytest.raises(PatternParseError):
-            PatternSet(())
+            PatternSet((), 2)
+        with pytest.raises(PatternParseError):
+            PatternSet.from_strings([])
+
+    def test_holds_its_words_in_order(self):
+        ps = PatternSet((2, 0, 3), 2)
+        assert (ps.values, ps.n, ps.p, len(ps)) == ((2, 0, 3), 2, 3, 3)
+        assert tuple(ps) == (bp("01"), bp("00"), bp("11"))
+        assert PatternSet.from_strings(["01", "00", "11"]) == ps
+        words = ["0" * 70, "1" * 70, "01" * 35]
+        wide = PatternSet.from_strings(words)
+        assert wide.values == (0, (1 << 70) - 1, sum(1 << j for j in range(1, 70, 2)))
+        assert [str(q) for q in wide] == words
+
+    def test_equality_and_hash_are_those_of_values_and_n(self):
+        a, b = PatternSet((1, 2), 2), PatternSet((1, 2), 2)
+        assert a == b and hash(a) == hash(b)
+        assert a != PatternSet((2, 1), 2) and a != PatternSet((1, 2), 3)
+
+    @pytest.mark.parametrize("values, n", [((4,), 2), ((0, -1), 2), ((0,), 0)])
+    def test_rejects_words_outside_n_bits(self, values, n):
+        with pytest.raises(ValueError, match=r"\[0, 2\^n\)"):
+            PatternSet(values, n)
 
     def test_rejects_mixed_lengths(self):
         with pytest.raises(DimensionError):
@@ -120,6 +173,8 @@ class TestPatternSet:
     def test_rejects_duplicates(self):
         with pytest.raises(PatternParseError):
             PatternSet.from_strings(["01", "01"])
+        with pytest.raises(PatternParseError, match="pairwise distinct"):
+            PatternSet((1, 3, 1), 2)
 
 
 class TestCheckWidth:
@@ -167,14 +222,16 @@ class TestCheckWidth:
 class TestMirrorSet:
     def test_complement_closed_set_is_fixed(self):
         ps = PatternSet.from_strings(["00", "11"])
-        assert set(mirror_set(ps).patterns) == set(ps.patterns)
+        assert set(mirror_set(ps)) == set(ps)
 
     def test_singleton(self):
-        assert mirror_set(PatternSet.from_strings(["00"])).patterns == (bp("11"),)
+        assert tuple(mirror_set(PatternSet.from_strings(["00"]))) == (bp("11"),)
 
     def test_elementwise(self):
         got = mirror_set(PatternSet.from_strings(["001", "010"]))
-        assert got.patterns == (bp("110"), bp("101"))
+        assert tuple(got) == (bp("110"), bp("101"))
+        wide = mirror_set(PatternSet.from_strings(["0" * 70, "01" * 35]))
+        assert [str(q) for q in wide] == ["1" * 70, "10" * 35]
 
     def test_preserves_count(self, rng):
         ps = random_pattern_set(5, 7, rng)
@@ -185,10 +242,13 @@ class TestParsePatternFile:
     def test_plain_file(self):
         ps = parse_pattern_file("00\n11\n")
         assert ps.n == 2 and ps.p == 2
+        assert parse_pattern_file("11\n00\n10\n") == PatternSet((3, 0, 1), 2)
+        words = ["0" * 70, "1" * 70, "01" * 35]
+        assert parse_pattern_file("\n".join(words)) == PatternSet.from_strings(words)
 
     def test_comments_and_blanks_ignored(self):
         ps = parse_pattern_file("# stored words\n\n01\n  10  \n# done\n")
-        assert ps.p == 2 and ps.patterns[0] == bp("01")
+        assert ps.p == 2 and tuple(ps)[0] == bp("01")
 
     def test_nonbinary_character_reports_line(self):
         with pytest.raises(PatternParseError, match="line 2.*non-binary"):
@@ -207,11 +267,59 @@ class TestParsePatternFile:
             parse_pattern_file("# nothing here\n\n")
 
 
+class TestConstructionPaths:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(word_sets())
+    def test_every_path_builds_the_same_set(self, case):
+        values, n = case
+        strings = [word_string(v, n) for v in values]
+        built = PatternSet(values, n)
+        paths = (
+            built,
+            PatternSet.from_strings(strings),
+            parse_pattern_file("".join(f"{w}\n" for w in strings)),
+        )
+        for ps in paths:
+            assert ps == built and hash(ps) == hash(built)
+            assert (ps.values, ps.n, ps.p) == (values, n, len(values))
+            assert list(ps) == [BitPattern(v, n) for v in values]
+            assert [str(q) for q in ps] == strings
+        mirrored = mirror_set(built)
+        assert [str(q) for q in mirrored] == [complement(w) for w in strings]
+        assert mirror_set(mirrored) == built
+        stored = set(strings)
+        paired = sum(complement(w) in stored for w in strings)
+        assert memory_overlap(built) == paired / len(strings)
+
+    def test_set_consumers_build_no_bit_pattern(self, rng, monkeypatch):
+        # The words are read as ints; only iterating a set builds patterns.
+        n, p = 12, 40
+        patterns = random_pattern_set(n, p, rng)
+        text = "".join(f"{q}\n" for q in patterns)
+        x = random_input(n, rng)
+        built = []
+        check = BitPattern.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(BitPattern, "__post_init__", counting)
+        parsed = parse_pattern_file(text)
+        memory_overlap(parsed)
+        law_distances(x, parsed)
+        prepare_initial(x, parsed, 0.5, 0.5, RegisterLayout.retrieval(n, 2))
+        build_memory_state(parsed)
+        apply_clone("memory", parsed, 0.5, 0.5)
+        assert built == []
+        assert len(list(parsed)) == len(built) == p  # the counter sees iteration
+
+
 class TestRandomPatternSet:
     def test_shape_and_distinctness(self, rng):
         ps = random_pattern_set(6, 20, rng)
         assert ps.n == 6 and ps.p == 20
-        assert len(set(ps.patterns)) == 20
+        assert len(set(ps)) == 20
 
     def test_rejects_oversubscription(self, rng):
         with pytest.raises(ValueError):

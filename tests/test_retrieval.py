@@ -578,7 +578,7 @@ class TestSimulateDistribution:
         rng = np.random.default_rng(29)
         n, p = 12, 400
         words = rng.choice(1 << n, size=p, replace=False).tolist()
-        patterns = PatternSet(tuple(BitPattern(w, n) for w in words))
+        patterns = PatternSet(tuple(words), n)
         inp = BitPattern(int(rng.integers(1 << n)), n)
         config = RetrievalConfig(
             b=8, gamma_mode=GammaMode.fixed(0.5), shots=30_000, seed=31
@@ -864,7 +864,7 @@ class TestLawProperties:
                 masses[q] = probability_of_subspace(collapsed, lambda i: i == index)
                 law = branch_joint_probability(inp, q, n, b, 1.0) / p
                 assert abs(masses[q] - law) <= 1e-12
-            if patterns.patterns == (inp.mirror(),):
+            if tuple(patterns) == (inp.mirror(),):
                 continue  # no retrievable mass: no conditional
             # Keyed by the stored pattern, so branch 1 is mirror-corrected;
             # the oracle takes the sine route through the agreement count.

@@ -1250,7 +1250,7 @@ def assert_flip_by_rows(state, mask, rows):
 def retrieval_states(words, input_value, n, b, both=True):
     """A retrieval run's prepared and rotated states and its encoding mask."""
     layout = RegisterLayout.retrieval(n, b)
-    patterns = PatternSet(tuple(BitPattern(w, n) for w in words))
+    patterns = PatternSet(tuple(int(w) for w in words), n)
     x = BitPattern(input_value, n)
     gamma_bar = 0.5 if both else 0.0
     prepared = prepare_initial(x, patterns, 1.0 - gamma_bar, gamma_bar, layout)
