@@ -1,9 +1,12 @@
 """Command-line front-end: distribution comparison, retrieval, cloning checks, cost tables.
 
 Reports are JSON by default, with top-level keys config, results, version,
-and timing_ms; re-running a command with identical flags and seed under
---strict-deterministic reproduces the results section byte-for-byte. CSV
-emits the command's tabular view with a stable column order. Exit codes:
+and timing_ms; re-running a command with identical flags and seed
+reproduces the results section byte-for-byte. --strict-deterministic
+makes distribution replay its shots one by one, each drawn as a retrieve
+round draws it. CSV emits the command's tabular view with a stable column
+order. The results keys are the field names of the library's result
+records (DistributionReport, RetrievalOutcome, CloningSolution). Exit codes:
 0 success; a user error prints one line and exits with the exit_code of
 its class in errors (2 parse error, 3 dimension error, 4 zero retrievable
 mass, 5 infeasible cloning requirement).
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -30,7 +34,7 @@ import time
 
 from . import __version__
 from .errors import CloningError, DimensionError, PatternParseError, ZeroMassError
-from .memory import gram_residual, memory_overlap, solve_efficiencies
+from .memory import CloningSolution, gram_residual, memory_overlap, solve_efficiencies
 from .patterns import BitPattern, PatternSet, hamming_distance, parse_pattern_file
 from .retrieval import (
     AmplificationMode,
@@ -55,6 +59,11 @@ _encode_key = json.encoder.encode_basestring_ascii
 # The largest b a cost table takes: a uniform 1:4096 table takes seconds,
 # and cos_power_average's exact binomial grows with b.
 MAX_TABLE_B = 4096
+
+# The most shots a distribution run takes: the bulk sampler holds about
+# 23 bytes per shot at its peak, so 2^24 shots stay near 0.4 GB, below a
+# state at the amplitude cap; the per-shot replay takes microseconds a shot.
+MAX_SHOTS = 2**24
 
 
 def _dumps(value, indent: str = "\n") -> str:
@@ -158,6 +167,16 @@ _positive_int = _int_at_least(1, "positive")
 _nonnegative_int = _int_at_least(0, "non-negative")
 
 
+def _shot_count(text: str) -> int:
+    """A positive shot count of at most MAX_SHOTS."""
+    shots = _positive_int(text)
+    if shots > MAX_SHOTS:
+        raise argparse.ArgumentTypeError(
+            f"shots may be at most {MAX_SHOTS}, got {text!r}"
+        )
+    return shots
+
+
 def _refusing_type(parse):
     """argparse type around parse that reports why a value was refused.
 
@@ -174,86 +193,70 @@ def _refusing_type(parse):
     return convert
 
 
-def _resolve_seed(seed: int | None) -> int:
-    """Every randomized command reports its seed, auto-generated or not."""
-    return secrets.randbits(32) if seed is None else seed
+def _config(args, **resolved) -> dict:
+    """The config section: each parsed flag under its own name, and the command.
+
+    resolved gives the values a flag was turned into, such as a drawn seed.
+    """
+    return {k: v for k, v in vars(args).items() if k != "handler"} | resolved
+
+
+def _fields(record, *leave_out: str) -> dict:
+    """A result record's fields by name, as a report prints them, but those in leave_out."""
+    return {
+        field.name: getattr(record, field.name)
+        for field in dataclasses.fields(record)
+        if field.name not in leave_out
+    }
 
 
 def _distribution_rows(input_pattern, report):
-    rows = []
-    for pattern in sorted(report.analytic_unnormalized, key=str):
-        rows.append(
-            {
-                "pattern": str(pattern),
-                "hamming_distance": hamming_distance(input_pattern, pattern),
-                "analytic_unnormalized": report.analytic_unnormalized[pattern],
-                "analytic_conditional": report.analytic_conditional[pattern],
-                "empirical_frequency": report.empirical.get(pattern, 0.0),
-                "empirical_count": report.empirical_counts.get(pattern, 0),
-            }
-        )
-    return rows
+    return [
+        {
+            "pattern": str(pattern),
+            "hamming_distance": hamming_distance(input_pattern, pattern),
+            "analytic_unnormalized": report.analytic_unnormalized[pattern],
+            "analytic_conditional": report.analytic_conditional[pattern],
+            "empirical_frequency": report.empirical_frequency.get(pattern, 0.0),
+            "empirical_count": report.empirical_count.get(pattern, 0),
+        }
+        for pattern in sorted(report.analytic_unnormalized, key=str)
+    ]
 
 
-def _retrieval_request(
-    args, command: str, **extra
-) -> tuple[PatternSet, BitPattern, RetrievalConfig, dict]:
-    """Pattern set, input, seed, RetrievalConfig and config echo of a retrieval run.
+def _retrieval_request(args) -> tuple[PatternSet, BitPattern, RetrievalConfig, dict]:
+    """Pattern set, input, RetrievalConfig and config section of a retrieval run.
 
-    extra names the command's own flags (shots or retries) for the echo.
+    Every randomized command reports its seed, drawn here when not given.
     """
     patterns = _load_patterns(args.patterns)
     input_pattern = _parse_input(args.input)
-    seed = _resolve_seed(args.seed)
+    seed = secrets.randbits(32) if args.seed is None else args.seed
     config = RetrievalConfig(
         b=args.b,
         gamma_mode=args.gamma_mode,
         amplification_mode=args.amp_mode,
-        shots=extra.get("shots", 1),
+        shots=getattr(args, "shots", 1),
         seed=seed,
         representation=args.mode,
     )
-    config_echo = {
-        "command": command,
-        "patterns": args.patterns,
-        "input": str(input_pattern),
-        "b": args.b,
-        "seed": seed,
-        "gamma_mode": args.gamma_mode.describe(),
-        "amp_mode": args.amp_mode.describe(),
-        "mode": args.mode,
-        "strict_deterministic": args.strict_deterministic,
-        "format": args.format,
-        **extra,
-    }
+    config_echo = _config(
+        args,
+        seed=seed,
+        gamma_mode=args.gamma_mode.describe(),
+        amp_mode=args.amp_mode.describe(),
+    )
     return patterns, input_pattern, config, config_echo
 
 
 def cmd_distribution(args) -> tuple[dict, dict, list[dict]]:
-    patterns, input_pattern, config, config_echo = _retrieval_request(
-        args, "distribution", shots=args.shots
-    )
+    patterns, input_pattern, config, config_echo = _retrieval_request(args)
     report = simulate_distribution(
         input_pattern, patterns, config, strict=args.strict_deterministic
     )
-    results = {
-        "analytic_unnormalized": report.analytic_unnormalized,
-        "analytic_conditional": report.analytic_conditional,
-        "empirical_frequency": report.empirical,
-        "empirical_count": report.empirical_counts,
-        "empirical_by_branch": report.empirical_by_branch,
-        "branch_shots": report.branch_shots,
-        "successes_by_branch": report.successes_by_branch,
-        "amplification_iterations": report.amplification_iterations,
-        "total_variation_distance": report.total_variation_distance,
-        "shots": report.shots,
-        "successes": report.successes,
-        "failed_rounds": report.failed_rounds,
-        "good_mass": report.good_mass,
-    }
     # Only --format csv prints the per-pattern rows.
     rows = _distribution_rows(input_pattern, report) if args.format == "csv" else []
-    return config_echo, results, rows
+    return config_echo, _fields(report), rows
 
 
 # The retrieve CSV row: the results keys that describe the final round.
@@ -270,38 +273,23 @@ ROW_KEYS = (
 
 
 def cmd_retrieve(args) -> tuple[dict, dict, list[dict]]:
-    patterns, input_pattern, config, config_echo = _retrieval_request(
-        args, "retrieve", retries=args.retries
-    )
+    patterns, input_pattern, config, config_echo = _retrieval_request(args)
     run = run_retrieval(input_pattern, patterns, config, max_rounds=args.retries)
     analytic = analytic_distribution(input_pattern, patterns, args.b)
-    outcome = run.outcome if run.outcome is not None else run.rounds[-1]
+    # The run stops at its first success, so its last round is the outcome.
+    outcome = run.rounds[-1]
     output_probability = (
         analytic.conditional.get(outcome.output_pattern)
         if outcome.output_pattern is not None
         else None
     )
     results = {
-        "succeeded": outcome.succeeded,
-        "ancilla_branch": outcome.ancilla_branch,
-        "raw_pattern": outcome.raw_pattern,
-        "output_pattern": outcome.output_pattern,
-        "amplification_iterations": outcome.amplification_iterations,
-        "good_probability_before": outcome.good_probability_before,
+        **_fields(outcome),
         "failed_rounds": run.failed_rounds,
         "rounds_used": len(run.rounds),
         "output_conditional_probability": output_probability,
         "analytic_conditional": analytic.conditional,
-        "rounds": [
-            {
-                "succeeded": r.succeeded,
-                "ancilla_branch": r.ancilla_branch,
-                "amplification_iterations": r.amplification_iterations,
-                "good_probability_before": r.good_probability_before,
-                "output_pattern": r.output_pattern,
-            }
-            for r in run.rounds
-        ],
+        "rounds": [_fields(r, "raw_pattern") for r in run.rounds],
     }
     # csv.DictWriter writes a BitPattern through str() and None as "".
     return config_echo, results, [{k: results[k] for k in ROW_KEYS}]
@@ -321,60 +309,40 @@ def cmd_clone_check(args) -> tuple[dict, dict, list[dict]]:
     try:
         solution = solve_efficiencies(s)
         verdict = "feasible" if solution.feasible else "infeasible"
-        diagnostic = solution.diagnostic
-        gamma, gamma_bar = solution.gamma, solution.gamma_bar
     except CloningError as exc:
-        solution = None
+        solution = CloningSolution(s, math.nan, math.nan, False, str(exc))
         verdict = "singular-overlap"
-        diagnostic = str(exc)
-        gamma = gamma_bar = math.nan
-    if solution is not None and solution.feasible:
+    if solution.feasible:
         gamma_used, gamma_bar_used = solution.gamma, solution.gamma_bar
     else:
         gamma_used = gamma_bar_used = 0.5  # symmetric reference attempt
     check = gram_residual(s, gamma_used, gamma_bar_used)
-    config_echo = {
-        "command": "clone-check",
-        "patterns": args.patterns,
-        "format": args.format,
-    }
     results = {
-        "overlap": s,
+        **_fields(solution),
         "verdict": verdict,
-        "feasible": verdict == "feasible",
-        "gamma": gamma,
-        "gamma_bar": gamma_bar,
-        "diagnostic": diagnostic,
         "gram": {
-            "passed": check.passed,
+            **_fields(check, "overlap"),
             "gamma_used": gamma_used,
             "gamma_bar_used": gamma_bar_used,
-            "input_matrix": check.input_matrix,
-            "output_matrix": check.output_matrix,
-            "residual": check.residual,
-            "max_residual": check.max_residual,
         },
     }
     row = {
         "overlap": s,
         "verdict": verdict,
-        "feasible": verdict == "feasible",
-        "gamma": "" if math.isnan(gamma) else gamma,
-        "gamma_bar": "" if math.isnan(gamma_bar) else gamma_bar,
+        "feasible": solution.feasible,
+        "gamma": "" if math.isnan(solution.gamma) else solution.gamma,
+        "gamma_bar": "" if math.isnan(solution.gamma_bar) else solution.gamma_bar,
         "gram_passed": check.passed,
         "gram_max_residual": check.max_residual,
     }
-    return config_echo, results, [row]
+    return _config(args), results, [row]
 
 
 def cmd_complexity(args) -> tuple[dict, dict, list[dict]]:
     patterns = _load_patterns(args.patterns)
     baseline = grover_baseline(patterns.n)
-    if args.uniform:
-        input_echo = None
-    else:
+    if not args.uniform:
         input_pattern = _parse_input(args.input)
-        input_echo = str(input_pattern)
         # Only the exponent changes with b, so the distances are computed once.
         distances = law_distances(input_pattern, patterns)
         retrievable_mass(input_pattern, patterns, args.b_range[0], distances)  # zero-mass guard
@@ -396,21 +364,13 @@ def cmd_complexity(args) -> tuple[dict, dict, list[dict]]:
                 "grover_baseline": baseline,
             }
         )
-    config_echo = {
-        "command": "complexity",
-        "patterns": args.patterns,
-        "input": input_echo,
-        "uniform": args.uniform,
-        "b_range": args.b_range,
-        "format": args.format,
-    }
     results = {
         "n": patterns.n,
         "p": patterns.p,
         "grover_baseline": baseline,
         "table": rows,
     }
-    return config_echo, results, rows
+    return _config(args), results, rows
 
 
 def _emit_csv(rows: list[dict]) -> str:
@@ -434,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
             " and a '#' after a word is an error."
         ),
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_shots=False, with_retries=False):
         p.add_argument("--patterns", required=True, help="pattern file path")
@@ -443,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--b", type=_positive_int, required=True, help="control-qubit count"
         )
         if with_shots:
-            p.add_argument("--shots", type=_positive_int, default=10000)
+            p.add_argument("--shots", type=_shot_count, default=10000)
         p.add_argument("--seed", type=_nonnegative_int, default=None)
         p.add_argument(
             "--gamma-mode",

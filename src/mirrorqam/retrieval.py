@@ -219,8 +219,8 @@ class DistributionReport:
 
     analytic_unnormalized: dict[BitPattern, float]
     analytic_conditional: dict[BitPattern, float]
-    empirical: dict[BitPattern, float]
-    empirical_counts: dict[BitPattern, int]
+    empirical_frequency: dict[BitPattern, float]
+    empirical_count: dict[BitPattern, int]
     empirical_by_branch: dict[int, dict[BitPattern, float]]
     branch_shots: dict[int, int]
     successes_by_branch: dict[int, int]
@@ -246,6 +246,16 @@ def resolve_gamma(mode: GammaMode, patterns: PatternSet) -> tuple[float, float]:
     return solution.gamma, solution.gamma_bar
 
 
+def _branch_amplitudes(gamma: float, gamma_bar: float, p: int) -> tuple[float, float]:
+    """The prepared amplitude sqrt(weight / p) of each branch's p entries.
+
+    A branch weight that is 0, or rounds to 0 over p, gives amplitude 0.0:
+    that branch is absent in either mode.
+    """
+    check_branch_weights(gamma, gamma_bar)
+    return math.sqrt(gamma / p), math.sqrt(gamma_bar / p)
+
+
 def prepare_initial(
     input_pattern: BitPattern,
     patterns: PatternSet,
@@ -261,13 +271,10 @@ def prepare_initial(
     """
     mem, anc = layout.memory, layout.ancilla
     check_width(patterns.n, input=input_pattern.n, memory=mem.width)
-    check_branch_weights(gamma, gamma_bar)
     p = patterns.p
+    amplitudes = np.repeat(_branch_amplitudes(gamma, gamma_bar, p), p)
     words = np.array(patterns.values, dtype=np.int64) << mem.offset
     mirrored = (words ^ mem.mask) | (1 << anc.offset)
-    # A branch weight that is 0, or rounds to 0 over p, gives zero amplitudes:
-    # that branch is absent in either mode.
-    amplitudes = np.repeat([math.sqrt(gamma / p), math.sqrt(gamma_bar / p)], p)
     return StateVector.from_arrays(
         layout, np.concatenate((words, mirrored)), amplitudes, mode=mode
     )
@@ -306,11 +313,11 @@ def run_pipeline(
     """Full pre-measurement pipeline: prepare, encode, rotate, restore.
 
     The support never exceeds p * 2**b entries per branch of nonzero
-    weight; a run whose bound is over MAX_AMPLITUDES is refused with
-    DimensionError before any state is built.
+    prepared amplitude; a run whose bound is over MAX_AMPLITUDES is
+    refused with DimensionError before any state is built.
     """
     layout = RegisterLayout.retrieval(patterns.n, b)
-    branches = (gamma > 0) + (gamma_bar > 0)
+    branches = sum(a > 0 for a in _branch_amplitudes(gamma, gamma_bar, patterns.p))
     support = (branches * patterns.p) << b
     if support > MAX_AMPLITUDES:
         raise DimensionError(
@@ -710,8 +717,8 @@ def simulate_distribution(
     return DistributionReport(
         analytic_unnormalized=analytic.unnormalized,
         analytic_conditional=analytic.conditional,
-        empirical=empirical,
-        empirical_counts=dict(success_counts),
+        empirical_frequency=empirical,
+        empirical_count=dict(success_counts),
         empirical_by_branch={b: _frequencies(c) for b, c in branch_counts.items()},
         branch_shots=branch_shots,
         successes_by_branch={b: sum(c.values()) for b, c in branch_counts.items()},

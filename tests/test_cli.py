@@ -1,5 +1,6 @@
 """End-to-end CLI tests: flags, report schema, exit codes, reproducibility."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from mirrorqam import cli
 from mirrorqam.errors import ZeroMassError
 from mirrorqam.patterns import BitPattern, parse_pattern_file
-from mirrorqam.retrieval import complexity_estimate
+from mirrorqam.retrieval import DistributionReport, RetrievalOutcome, complexity_estimate
 
 REPORT_KEYS = {"config", "results", "version", "timing_ms"}
 
@@ -466,6 +467,26 @@ class TestUsageErrors:
             range(1, cli.MAX_TABLE_B + 1)
         )
 
+    def test_huge_shots_are_refused_before_any_sampling(self, pattern_file, capsys):
+        path = pattern_file("0101\n0011\n")
+        cli.build_parser()
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as usage:
+                cli.main(["distribution", "--patterns", path, "--input", "0101",
+                          "--b", "2", "--shots", "1000000000000", "--seed", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert usage.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert errors == [
+            "mirrorqam distribution: error: argument --shots:"
+            f" shots may be at most {cli.MAX_SHOTS}, got '1000000000000'"
+        ]
+        assert peak < 64 * 1024  # the bulk sampler holds about 23 bytes a shot
+        assert cli._shot_count(str(cli.MAX_SHOTS)) == cli.MAX_SHOTS
+
     def test_nan_branch_weight_is_a_parse_error(self, pattern_file):
         path = pattern_file("00\n01\n")
         result = run_cli(
@@ -623,45 +644,82 @@ class TestReproducibility:
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
-# Seeded runs on GOLDEN/patterns.txt (n=6, two complementary pairs among 7
-# patterns); fixed:0.5 puts shots on both branches. Each GOLDEN/<name>.json
-# holds the results section an earlier version printed for these flags, so
-# a change that moves a sampled outcome, a count or the last digit of a
-# float between versions shows here.
+# Seeded runs, each on a pattern file in GOLDEN with a report format.
+# patterns.txt has n=6 and two complementary pairs among 7 patterns;
+# fixed:0.5 puts shots on both branches. complement-closed.txt has overlap
+# 1 (feasible cloning) and one-word.txt overlap 0 (singular). A json case's
+# GOLDEN/<name>.json holds the results section an earlier version printed
+# for these flags, and a csv case's GOLDEN/<name>.csv the whole table, so a
+# change that moves a sampled outcome, a count, a key, a column or the last
+# digit of a float between versions shows here.
 GOLDEN_CASES = {
     "distribution-sparse-bulk": (
+        "patterns.txt", "json",
         "distribution", "--input", "001001", "--b", "3", "--shots", "2000",
         "--seed", "11", "--gamma-mode", "fixed:0.5",
     ),
     "distribution-sparse-strict": (
+        "patterns.txt", "json",
         "distribution", "--input", "001001", "--b", "3", "--shots", "400",
         "--seed", "11", "--gamma-mode", "fixed:0.5", "--strict-deterministic",
     ),
     "distribution-dense-bulk": (
+        "patterns.txt", "json",
         "distribution", "--input", "001001", "--b", "3", "--shots", "2000",
         "--seed", "12", "--gamma-mode", "fixed:0.5", "--mode", "dense",
     ),
     "distribution-dense-strict": (
+        "patterns.txt", "json",
         "distribution", "--input", "001001", "--b", "3", "--shots", "400",
         "--seed", "12", "--gamma-mode", "fixed:0.5", "--mode", "dense",
         "--strict-deterministic",
     ),
+    "distribution-table": (
+        "patterns.txt", "csv",
+        "distribution", "--input", "001001", "--b", "3", "--shots", "2000",
+        "--seed", "11", "--gamma-mode", "fixed:0.5",
+    ),
     "retrieve-sparse": (
+        "patterns.txt", "json",
         "retrieve", "--input", "001001", "--b", "3", "--seed", "11",
         "--gamma-mode", "fixed:0.5", "--strict-deterministic",
     ),
     "retrieve-sparse-all-rounds-fail": (
+        "patterns.txt", "json",
         "retrieve", "--input", "001001", "--b", "3", "--seed", "3",
         "--gamma-mode", "fixed:0.5", "--amp-mode", "fixed:0", "--retries", "4",
     ),
     "retrieve-dense-retry": (
+        "patterns.txt", "json",
         "retrieve", "--input", "001001", "--b", "3", "--seed", "1",
         "--gamma-mode", "fixed:0.5", "--amp-mode", "fixed:0", "--retries", "4",
         "--mode", "dense",
     ),
-    "clone-check": ("clone-check",),
-    "complexity": ("complexity", "--input", "001001", "--b-range", "1:4"),
+    "retrieve-table": (
+        "patterns.txt", "csv",
+        "retrieve", "--input", "001001", "--b", "3", "--seed", "11",
+        "--gamma-mode", "fixed:0.5", "--strict-deterministic",
+    ),
+    "clone-check": ("patterns.txt", "json", "clone-check"),
+    "clone-check-complement-closed": ("complement-closed.txt", "json", "clone-check"),
+    "clone-check-one-word": ("one-word.txt", "json", "clone-check"),
+    "clone-check-table": ("patterns.txt", "csv", "clone-check"),
+    "complexity": (
+        "patterns.txt", "json",
+        "complexity", "--input", "001001", "--b-range", "1:4",
+    ),
+    "complexity-table": (
+        "patterns.txt", "csv",
+        "complexity", "--input", "001001", "--b-range", "1:4",
+    ),
 }
+JSON_CASES = sorted(name for name, case in GOLDEN_CASES.items() if case[1] == "json")
+
+
+def golden_argv(name):
+    """The argv of a golden case: its command, pattern file, format and flags."""
+    patterns, fmt, command, *flags = GOLDEN_CASES[name]
+    return [command, "--patterns", str(GOLDEN / patterns), "--format", fmt, *flags]
 
 
 def golden_results(stdout):
@@ -670,21 +728,60 @@ def golden_results(stdout):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_seeded_results_match_golden_file(name):
-    args = GOLDEN_CASES[name]
-    result = run_cli(args[0], "--patterns", str(GOLDEN / "patterns.txt"), *args[1:])
+    fmt = GOLDEN_CASES[name][1]
+    result = run_cli(*golden_argv(name))
     assert result.returncode == 0, result.stderr
-    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
-    assert golden_results(result.stdout) == expected
+    expected = (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
+    assert (golden_results(result.stdout) if fmt == "json" else result.stdout) == expected
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+@pytest.mark.parametrize("name", JSON_CASES)
 def test_stdout_is_canonical_json(name, capsys):
     # The whole report, not only its results: key order, indentation and
     # the config / version / timing_ms layout are those of json.dumps.
-    args = GOLDEN_CASES[name]
-    assert cli.main([args[0], "--patterns", str(GOLDEN / "patterns.txt"), *args[1:]]) == 0
+    assert cli.main(golden_argv(name)) == 0
     stdout = capsys.readouterr().out
     assert stdout == json.dumps(json.loads(stdout), sort_keys=True, indent=2) + "\n"
+
+
+def test_results_keys_are_the_record_field_names(pattern_file, capsys):
+    path = pattern_file("000\n011\n110\n")
+    common = ["--patterns", path, "--input", "010", "--b", "2", "--seed", "5",
+              "--gamma-mode", "fixed:0.5"]
+
+    def results(argv):
+        assert cli.main(argv) == 0
+        return json.loads(capsys.readouterr().out)["results"]
+
+    distribution = results(["distribution", *common, "--shots", "200"])
+    assert set(distribution) == {f.name for f in dataclasses.fields(DistributionReport)}
+    retrieve = results(["retrieve", *common])
+    assert {f.name for f in dataclasses.fields(RetrievalOutcome)} <= set(retrieve)
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["distribution", "--input", "010", "--b", "2", "--shots", "200", "--seed", "5"],
+         {"command": "distribution", "input": "010", "b": 2, "shots": 200, "seed": 5,
+          "gamma_mode": "memory-only", "amp_mode": "exact", "mode": "sparse",
+          "strict_deterministic": False, "format": "json"}),
+        (["retrieve", "--input", "010", "--b", "2", "--seed", "5", "--gamma-mode",
+          "fixed:0.25", "--amp-mode", "fixed:1", "--mode", "dense",
+          "--strict-deterministic"],
+         {"command": "retrieve", "input": "010", "b": 2, "retries": 5, "seed": 5,
+          "gamma_mode": "fixed:0.25", "amp_mode": "fixed:1", "mode": "dense",
+          "strict_deterministic": True, "format": "json"}),
+        (["clone-check"], {"command": "clone-check", "format": "json"}),
+        (["complexity", "--uniform", "--b-range", "1:2"],
+         {"command": "complexity", "input": None, "uniform": True, "b_range": [1, 2],
+          "format": "json"}),
+    ],
+)
+def test_config_echoes_every_flag(pattern_file, capsys, argv, config):
+    path = pattern_file("000\n011\n110\n")
+    assert cli.main([argv[0], "--patterns", path, *argv[1:], "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == {"patterns": path, **config}
 
 
 def test_cached_parser_carries_no_state_between_calls(pattern_file, capsys):

@@ -500,7 +500,7 @@ class TestSimulateDistribution:
         patterns, inp = ps("000", "011", "101"), bp("000")
         config = RetrievalConfig(b=2, shots=5000, seed=3)
         report = simulate_distribution(inp, patterns, config)
-        assert sum(report.empirical_counts.values()) == report.successes
+        assert sum(report.empirical_count.values()) == report.successes
         assert report.successes + report.failed_rounds == report.shots
         assert sum(report.branch_shots.values()) == report.shots
 
@@ -509,7 +509,7 @@ class TestSimulateDistribution:
         config = RetrievalConfig(b=2, shots=4000, seed=11)
         bulk = simulate_distribution(inp, patterns, config)
         strict = simulate_distribution(inp, patterns, config, strict=True)
-        assert tv_distance(bulk.empirical, strict.empirical) < 0.05
+        assert tv_distance(bulk.empirical_frequency, strict.empirical_frequency) < 0.05
         assert strict.successes + strict.failed_rounds == strict.shots
 
     def test_strict_is_reproducible(self):
@@ -517,7 +517,7 @@ class TestSimulateDistribution:
         config = RetrievalConfig(b=1, shots=500, seed=7)
         a = simulate_distribution(inp, patterns, config, strict=True)
         b = simulate_distribution(inp, patterns, config, strict=True)
-        assert a.empirical_counts == b.empirical_counts
+        assert a.empirical_count == b.empirical_count
         assert a.failed_rounds == b.failed_rounds
 
     @pytest.mark.parametrize("mode", ["sparse", "dense"])
@@ -586,7 +586,7 @@ class TestSimulateDistribution:
         want, sizes = choice_counts(inp, patterns, config)
         assert min(sizes) >= 100_000
         report = simulate_distribution(inp, patterns, config)
-        assert report.empirical_counts == want
+        assert report.empirical_count == want
 
     @pytest.mark.parametrize("mode", ["sparse", "dense"])
     def test_retrieve_and_strict_replay_draw_the_branch_alike(self, mode):
@@ -743,7 +743,7 @@ class TestStrictExactness:
         report = simulate_distribution(inp, patterns, config, strict=True)
         counts, branch_shots, by_branch, failed, tv = expected
         # Insertion order too: strict counts keep first-draw order.
-        assert list(report.empirical_counts.items()) == list(counts.items())
+        assert list(report.empirical_count.items()) == list(counts.items())
         assert report.branch_shots == branch_shots
         assert report.successes_by_branch == by_branch
         assert report.failed_rounds == failed
@@ -817,6 +817,21 @@ class TestBranchPresence:
                 )
             else:
                 assert outcome == RetrievalOutcome(branch, 0, 0.0, False, None, None)
+
+    def test_support_cap_counts_only_present_branches(self, monkeypatch):
+        # 4 patterns x 2^4 control values fill a cap of 64 with one branch.
+        # Weight 5e-324 over 4 patterns gives amplitude 0.0: branch 0 is
+        # absent, so the run is admitted as memory-only is.
+        monkeypatch.setattr(retrieval, "MAX_AMPLITUDES", 64)
+        patterns, inp = ps("0001", "0110", "1011", "1100"), bp("0011")
+        state = run_pipeline(inp, patterns, 5e-324, 1.0, 4)
+        assert state.support_size == run_pipeline(inp, patterns, 0.0, 1.0, 4).support_size
+        with pytest.raises(DimensionError) as refused:
+            run_pipeline(inp, patterns, 0.5, 0.5, 4)
+        assert str(refused.value) == (
+            "the retrieval state could reach 128 amplitudes, 2 x 4 x 2^4"
+            " (weighted branches x patterns x control values), over the limit of 64"
+        )
 
 
 @st.composite
