@@ -4,12 +4,14 @@ Reports are JSON by default, with top-level keys config, results, version,
 and timing_ms; re-running a command with identical flags and seed
 reproduces the results section byte-for-byte. --strict-deterministic
 makes distribution replay its shots one by one, each drawn as a retrieve
-round draws it. CSV emits the command's tabular view with a stable column
-order. The results keys are the field names of the library's result
-records (DistributionReport, RetrievalOutcome, CloningSolution). Exit codes:
-0 success; a user error prints one line and exits with the exit_code of
-its class in errors (2 parse error, 3 dimension error, 4 zero retrievable
-mass, 5 infeasible cloning requirement).
+round draws it; retrieve accepts the flag, but it always draws round by
+round, so its results are the same with or without it. CSV emits the
+command's tabular view with a stable column order. The results keys are
+the field names of the library's result records (DistributionReport,
+RetrievalOutcome, CloningSolution). Exit codes: 0 success; a user error
+prints one line and exits with the exit_code of its class in errors (2
+parse error, 3 dimension error, 4 zero retrievable mass, 5 infeasible
+cloning requirement); 1 when stdout closes before the report is written.
 
 main builds the argument parser on its first call and reuses it, so an
 in-process caller (an embedding program, the tests, a benchmark) pays for
@@ -28,6 +30,7 @@ import functools
 import io
 import json
 import math
+import os
 import secrets
 import sys
 import time
@@ -423,7 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--mode", choices=("sparse", "dense"), default="sparse")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--strict-deterministic", action="store_true")
+        p.add_argument(
+            "--strict-deterministic",
+            action="store_true",
+            help="distribution: replay the shots one by one, as retrieve rounds;"
+            " retrieve always draws round by round, so it changes nothing there",
+        )
 
     p_dist = sub.add_parser(
         "distribution", help="analytic vs sampled retrieval distribution"
@@ -467,7 +475,7 @@ def main(argv=None) -> int:
         return exc.exit_code
     timing_ms = (time.perf_counter() - started) * 1000.0
     if args.format == "csv":
-        sys.stdout.write(_emit_csv(rows))
+        body = _emit_csv(rows)[:-1]  # print writes the last newline back
     else:
         report = {
             "config": config_echo,
@@ -475,7 +483,19 @@ def main(argv=None) -> int:
             "version": __version__,
             "timing_ms": round(timing_ms, 3),
         }
-        print(_dumps(report))
+        body = _dumps(report)
+    try:
+        # print writes the newline on its own. Unbuffered (PYTHONUNBUFFERED),
+        # a write that a closing reader cuts short returns without an error,
+        # and only the next write raises.
+        print(body)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (as head does). Pointing stdout at
+        # devnull stops the interpreter's flush at exit from failing again.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     return 0
 
 if __name__ == "__main__":

@@ -40,6 +40,7 @@ from .errors import DimensionError, InfeasibleCloningError, ZeroMassError
 from .memory import check_branch_weights, memory_overlap, solve_efficiencies
 from .patterns import BitPattern, PatternSet, check_width
 from .statevector import (
+    MAX_AMP_UPDATES,
     MAX_AMPLITUDES,
     RegisterLayout,
     StateVector,
@@ -93,10 +94,8 @@ class GammaMode:
 
     @classmethod
     def parse(cls, text: str) -> GammaMode:
-        if text == "memory-only":
-            return cls.memory_only()
-        if text == "cloning":
-            return cls.cloning()
+        if text in ("memory-only", "cloning"):
+            return cls(text)
         if text.startswith("fixed:"):
             return cls.fixed(float(text.split(":", 1)[1]))
         raise ValueError(f"expected memory-only, cloning, or fixed:G, got {text!r}")
@@ -140,10 +139,8 @@ class AmplificationMode:
 
     @classmethod
     def parse(cls, text: str) -> AmplificationMode:
-        if text == "exact":
-            return cls.exact()
-        if text == "estimate":
-            return cls.estimate()
+        if text in ("exact", "estimate"):
+            return cls(text)
         if text.startswith("fixed:"):
             return cls.fixed(int(text.split(":", 1)[1]))
         raise ValueError(f"expected exact, estimate, or fixed:K, got {text!r}")
@@ -234,9 +231,7 @@ class DistributionReport:
 
 def resolve_gamma(mode: GammaMode, patterns: PatternSet) -> tuple[float, float]:
     """Concrete (gamma, gamma_bar) for a pattern set under the given policy."""
-    if mode.kind == "memory-only":
-        return 1.0, 0.0
-    if mode.kind == "fixed":
+    if mode.kind != "cloning":
         return mode.gamma, mode.gamma_bar
     solution = solve_efficiencies(memory_overlap(patterns))
     if not solution.feasible:
@@ -443,10 +438,18 @@ def amplitude_amplify(state: StateVector, branch: int, k: int) -> StateVector:
     """k rounds of good-subspace reflection then reflection about the start state.
 
     Starting from good-subspace mass P, the mass after k rounds is
-    sin^2((2k+1) asin(sqrt(P))).
+    sin^2((2k+1) asin(sqrt(P))). A round touches the whole support (the
+    whole vector in dense mode); a run of more than MAX_AMP_UPDATES such
+    updates is refused with DimensionError before its first round.
     """
     if k < 0:
         raise ValueError("iteration count must be nonnegative")
+    per_round = state.layout.dim if state.mode == "dense" else state.support_size
+    if k * per_round > MAX_AMP_UPDATES:
+        raise DimensionError(
+            f"{k} amplification rounds over {per_round} amplitudes would take"
+            f" {k * per_round} amplitude updates, over the limit of {MAX_AMP_UPDATES}"
+        )
     current = state
     for _ in range(k):
         current = reflect_good_subspace(current, branch)

@@ -38,13 +38,17 @@ look up indices. Each gate computes its output amplitudes in one array
 and updates it in place rather than combining full-size intermediate
 arrays.
 
-Measuring a register is register_law, one draw from it and a projection.
-A caller that draws many times from one state builds its law once, as
-lists (RegisterLaw.as_lists).
+Every measurement, of a qubit or of a register, draws by register_law:
+one draw from the register's law and a projection onto the value drawn
+(measure_qubit is measure_register on a one-qubit register). A caller that
+draws many times from one state builds its law once, as lists
+(RegisterLaw.as_lists).
 
 The control rotations run one kernel in both modes; its output equals
 that mode's own gate sequence (Hadamard, apply_hamming_phase, Hadamard)
-bit for bit. The phase keeps independent judges: the sparse
+bit for bit. apply_hadamard runs the kernel's _butterfly, so the tests
+check that arithmetic bit for bit against (a0 +- a1) * sqrt(1/2) computed
+apart. The phase keeps independent judges: the sparse
 apply_hamming_phase computes its phases per basis index, apart from the
 kernel's _distance_phases; the tests compare the sparse kernel with that
 gate sequence, the dense gates with explicit Kronecker-product operators,
@@ -103,6 +107,10 @@ _MAX_DENSE_QUBITS = 24
 # The dense cap's amplitude count; a retrieval run checks its support bound
 # against it before it builds any state.
 MAX_AMPLITUDES = 1 << _MAX_DENSE_QUBITS
+# The most amplitude updates an amplification run may make, its rounds times
+# the amplitudes one round touches; a run over it is refused before its first
+# round. At 62-80 ms a round over 2**24 amplitudes, it is about a minute.
+MAX_AMP_UPDATES = 1 << 34
 _MAX_QUBITS = 63  # basis indices are int64
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -321,10 +329,7 @@ class StateVector:
             raise ValueError("basis indices must be distinct")
         if mode == "sparse":
             return _nonzero(layout, idx, amps)
-        _check_dense_size(layout)
-        arr = np.zeros(layout.dim, dtype=np.complex128)
-        arr[idx] = amps
-        return cls._wrap(layout, None, arr)
+        return _dense(layout, idx, amps)
 
     def amplitude(self, index: int) -> complex:
         """The amplitude of basis state index; IndexError outside [0, dim).
@@ -364,10 +369,7 @@ class StateVector:
         if mode == self.mode:
             return self
         if mode == "dense":
-            _check_dense_size(self.layout)
-            arr = np.zeros(self.layout.dim, dtype=np.complex128)
-            arr[self._idx] = self._amps
-            return StateVector._wrap(self.layout, None, arr)
+            return _dense(self.layout, self._idx, self._amps)
         if mode == "sparse":
             return StateVector._wrap(self.layout, *self.arrays())
         raise ValueError(f"unknown mode {mode!r}")
@@ -379,10 +381,8 @@ class StateVector:
         """Amplitude-by-amplitude agreement over the union of supports."""
         if self.layout != other.layout:
             return False
-        (ia, aa), (ib, ab) = self.arrays(), other.arrays()
-        union = np.union1d(ia, ib)
-        gap = np.abs(_gather(ia, aa, union) - _gather(ib, ab, union))
-        return bool(np.all(gap <= tol))
+        _, a, b = _aligned(*self.arrays(), *other.arrays())
+        return bool(np.all(np.abs(a - b) <= tol))
 
     def __repr__(self) -> str:
         return (
@@ -402,12 +402,19 @@ def _support_mask(amps: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _check_dense_size(layout: RegisterLayout) -> None:
+def _dense(layout: RegisterLayout, idx: np.ndarray, amps: np.ndarray) -> StateVector:
+    """Dense state holding amps at the distinct indices idx and 0 elsewhere.
+
+    DimensionError when the layout is over the dense cap.
+    """
     if layout.total_qubits > _MAX_DENSE_QUBITS:
         raise DimensionError(
             f"dense mode supports at most {_MAX_DENSE_QUBITS} qubits,"
             f" layout has {layout.total_qubits}"
         )
+    arr = np.zeros(layout.dim, dtype=np.complex128)
+    arr[idx] = amps
+    return StateVector._wrap(layout, None, arr)
 
 
 def _check_index(layout: RegisterLayout, index: int) -> int:
@@ -426,6 +433,12 @@ def _check_qubit(state: StateVector, qubit: int) -> None:
         raise IndexError(
             f"qubit {qubit} out of range for {state.layout.total_qubits}-qubit layout"
         )
+
+
+def _qubit(state: StateVector, qubit: int) -> Register:
+    """The one-qubit register at qubit, which must lie in the layout."""
+    _check_qubit(state, qubit)
+    return Register(f"qubit {qubit}", 1, qubit)
 
 
 def _register(state: StateVector, register: str | Register) -> Register:
@@ -495,22 +508,29 @@ def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
     )
 
 
-def _lookup(idx: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where the query indices sit in the sorted, nonempty idx, and which are there."""
-    pos = np.minimum(np.searchsorted(idx, query), idx.size - 1)
-    return pos, idx[pos] == query
-
-
 def _gather(idx: np.ndarray, amps: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Amplitudes at the query indices, 0 where the support idx lacks them.
+    """Amplitudes at the query indices, 0 where the sorted, nonempty idx lacks them.
 
     Returns amps itself when query is the support, the common case in
     amplification, where every state shares its axis's index array.
     """
     if idx is query or np.array_equal(idx, query):
         return amps
-    pos, hit = _lookup(idx, query)
-    return np.where(hit, amps[pos], 0j)
+    pos = np.minimum(np.searchsorted(idx, query), idx.size - 1)
+    return np.where(idx[pos] == query, amps[pos], 0j)
+
+
+def _aligned(
+    ia: np.ndarray, aa: np.ndarray, ib: np.ndarray, ab: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two sparse supports' amplitudes on one index array: (support, a's, b's).
+
+    The support is ia when ib is the same array or an equal one, as in
+    amplification, where the states share their axis's index array; else
+    the union of both, on which each side holds 0 where it has no entry.
+    """
+    support = ia if ia is ib or np.array_equal(ia, ib) else np.union1d(ia, ib)
+    return support, _gather(ia, aa, support), _gather(ib, ab, support)
 
 
 def _sorted_under(idx: np.ndarray, mask: int) -> bool:
@@ -694,7 +714,7 @@ def apply_xor(state: StateVector, control: int, target: int) -> StateVector:
 
 
 def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
-    """Apply the 2x2 Hadamard to one qubit."""
+    """Apply the 2x2 Hadamard to one qubit: _butterfly on its paired amplitudes."""
     _check_qubit(state, qubit)
     mask = 1 << qubit
     if state.mode == "sparse":
@@ -702,17 +722,13 @@ def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
         bases, slot = np.unique(idx & ~mask, return_inverse=True)
         pair = np.zeros((2, bases.size), dtype=np.complex128)
         pair[(idx >> qubit) & 1, slot] = state._amps
-        a0, a1 = pair
+        _butterfly(*pair, np.empty_like(pair[0]))
         new_idx = np.concatenate((bases, bases | mask))
-        new_amps = np.concatenate(((a0 + a1) * _SQRT_HALF, (a0 - a1) * _SQRT_HALF))
         order = np.argsort(new_idx, kind="stable")
-        return _nonzero(state.layout, new_idx[order], new_amps[order])
-    src = _blocks(state._amps, qubit, 1)
-    out = np.empty_like(state._amps)
+        return _nonzero(state.layout, new_idx[order], pair.reshape(-1)[order])
+    out = state._amps.copy()
     pair = _blocks(out, qubit, 1)
-    np.add(src[:, 0, :], src[:, 1, :], out=pair[:, 0, :])
-    np.subtract(src[:, 0, :], src[:, 1, :], out=pair[:, 1, :])
-    out *= _SQRT_HALF
+    _butterfly(pair[:, 0, :], pair[:, 1, :], np.empty_like(pair[:, 0, :]))
     return StateVector._wrap(state.layout, None, out)
 
 
@@ -781,7 +797,11 @@ def _multiply_phases(rows: np.ndarray, k: int, phases: np.ndarray) -> None:
 
 
 def _butterfly(low, high, tmp) -> None:
-    """apply_hadamard's arithmetic in place on the paired halves low and high."""
+    """The Hadamard's arithmetic in place on the paired halves low and high.
+
+    low becomes (low + high) * sqrt(1/2) and high (low - high) * sqrt(1/2);
+    tmp, of their shape, holds the sum in between.
+    """
     np.add(low, high, out=tmp)
     np.subtract(low, high, out=high)
     np.multiply(tmp, _SQRT_HALF, out=low)
@@ -906,15 +926,11 @@ def collapse_qubit(
 ) -> tuple[float, StateVector]:
     """Project one qubit onto an outcome and renormalize.
 
-    Returns (outcome probability, collapsed state). Collapsing onto a
-    zero-probability outcome is an error.
+    Returns (outcome probability, collapsed state). It is collapse_register
+    on a one-qubit register at that qubit, so an outcome other than 0 or 1,
+    or of zero probability, is an error.
     """
-    _check_qubit(state, qubit)
-    if outcome not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
-    mask = 1 << qubit
-    want = mask if outcome else 0
-    return _project(state, mask, want)
+    return collapse_register(state, _qubit(state, qubit), outcome)
 
 
 def _project(
@@ -954,13 +970,12 @@ def subspace_mass(state: StateVector, select_mask: int, select_value: int) -> fl
 
 
 def measure_qubit(state: StateVector, qubit: int, rng) -> tuple[int, StateVector]:
-    """Born-rule measurement of one qubit; returns (bit, collapsed state)."""
-    _check_qubit(state, qubit)
-    mask = 1 << qubit
-    p_one = subspace_mass(state, mask, mask)
-    outcome = 1 if rng.random() < p_one else 0
-    _, collapsed = collapse_qubit(state, qubit, outcome)
-    return outcome, collapsed
+    """Born-rule measurement of one qubit; returns (bit, collapsed state).
+
+    It is measure_register on a one-qubit register at that qubit.
+    """
+    bit, collapsed = measure_register(state, _qubit(state, qubit), rng)
+    return int(bit), collapsed
 
 
 class RegisterLaw(NamedTuple):
@@ -1026,10 +1041,12 @@ def collapse_register(
 ) -> tuple[float, StateVector]:
     """Project a register onto a value and renormalize.
 
-    Returns (outcome probability, collapsed state). Collapsing onto a
-    zero-probability value is an error.
+    Returns (outcome probability, collapsed state). A value outside
+    [0, 2**width) or of zero probability is an error (ValueError).
     """
     reg = _register(state, register)
+    if not 0 <= value < 1 << reg.width:
+        raise ValueError(f"register {reg.name!r} holds no value {value}")
     return _project(state, reg.mask, value << reg.offset)
 
 
@@ -1055,21 +1072,10 @@ def reflect_about_state(state: StateVector, axis: StateVector) -> StateVector:
         raise DimensionError("layout mismatch between state and reflection axis")
     axis = axis.to_mode(state.mode)
     coeff = 2.0 * inner_product(axis, state)
-    support = axis._idx
     if state.mode == "dense":
-        along, start = axis._amps, state._amps
+        support, along, start = None, axis._amps, state._amps
     else:
-        if not (
-            state._idx is support
-            or np.array_equal(support, state._idx)
-            or _lookup(support, state._idx)[1].all()
-        ):
-            # The state reaches outside the axis support (amplification
-            # never does: each round keeps part of the axis support), so
-            # merge the two.
-            support = np.union1d(support, state._idx)
-        along = _gather(axis._idx, axis._amps, support)
-        start = _gather(state._idx, state._amps, support)
+        support, along, start = _aligned(axis._idx, axis._amps, state._idx, state._amps)
     amps = np.empty_like(start)
 
     def step(part):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -253,6 +254,20 @@ class TestRetrieveCommand:
         )
         assert result.returncode == 4
 
+    @pytest.mark.parametrize("mode", ["sparse", "dense"])
+    def test_strict_flag_leaves_the_results_bytes(self, pattern_file, capsys, mode):
+        # retrieve always draws round by round, so --strict-deterministic,
+        # which distribution reads, changes nothing here.
+        path = pattern_file("000111\n001001\n110110\n011011\n")
+        for seed in range(4):
+            argv = ["retrieve", "--patterns", path, "--input", "001011", "--b", "3",
+                    "--seed", str(seed), "--gamma-mode", "fixed:0.5", "--mode", mode]
+            printed = []
+            for flags in ([], ["--strict-deterministic"]):
+                assert cli.main([*argv, *flags]) == 0
+                printed.append(golden_results(capsys.readouterr().out))
+            assert printed[0] == printed[1]
+
     def test_fixed_amplification_mode(self, pattern_file):
         path = pattern_file("00\n01\n")
         result = run_cli(
@@ -261,6 +276,59 @@ class TestRetrieveCommand:
         )
         results = json.loads(result.stdout)["results"]
         assert results["amplification_iterations"] == 0
+
+
+class TestRunsThatWillNotFinish:
+    # Pattern 1110 against input 0000 at b = 16 holds a retrievable mass of
+    # 4.5e-14, for which exact amplification asks for 3 712 404 rounds over
+    # 65 536 amplitudes (2^21 in dense mode); fixed:1000000000 asks for 1e9
+    # rounds over 256 amplitudes at b = 8. Both are refused before a round.
+    @pytest.mark.parametrize("command", ["distribution", "retrieve"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--b", "16"),
+            ("--b", "16", "--mode", "dense"),
+            ("--b", "8", "--amp-mode", "fixed:1000000000"),
+        ],
+    )
+    def test_amplification_over_the_cap_exits_3(self, pattern_file, command, flags):
+        path = pattern_file("1110\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "mirrorqam", command, "--patterns", path,
+             "--input", "0000", "--seed", "1", *flags],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 3
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ") and "amplification rounds over" in line
+        assert result.stdout == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_1_without_a_traceback(pattern_file, fmt, unbuffered):
+    # This 1:4096 cost table is 148 kB as CSV and 774 kB as JSON, more than
+    # a pipe buffer, so the CLI is still writing when the reader goes.
+    path = pattern_file(f"{'1' * 3}{'0' * 45}\n{'1' * 5}{'0' * 43}\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mirrorqam", "complexity", "--patterns", path,
+         "--input", "0" * 48, "--b-range", "1:4096", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
 
 
 class TestCloneCheckCommand:

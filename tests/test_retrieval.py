@@ -368,6 +368,27 @@ class TestAmplitudeAmplify:
             1.0, abs=1e-9
         )
 
+    @pytest.mark.parametrize("mode", ["sparse", "dense"])
+    def test_refuses_more_updates_than_the_cap_before_any_round(self, monkeypatch, mode):
+        # A round touches the whole support in sparse mode and the whole
+        # vector in dense mode; the cap counts rounds times those amplitudes.
+        st = run_pipeline(bp("0110"), ps("0110", "0011"), 1.0, 0.0, 2, mode)
+        per_round = st.layout.dim if mode == "dense" else st.support_size
+        assert st.support_size < st.layout.dim
+        monkeypatch.setattr(retrieval, "MAX_AMP_UPDATES", 3 * per_round)
+        amplitude_amplify(st, 0, 3)  # exactly at the cap, so it runs
+
+        def no_round(*args):
+            raise AssertionError("a round ran before the refusal")
+
+        monkeypatch.setattr(retrieval, "reflect_good_subspace", no_round)
+        with pytest.raises(
+            DimensionError,
+            match=f"^4 amplification rounds over {per_round} amplitudes would take"
+            f" {4 * per_round} amplitude updates, over the limit of {3 * per_round}$",
+        ):
+            amplitude_amplify(st, 0, 4)
+
     def test_follows_sine_law_up_to_k20(self, rng):
         for _ in range(5):
             patterns, inp, b = random_instance(rng)

@@ -26,6 +26,7 @@ from mirrorqam.retrieval import (
 )
 from mirrorqam.statevector import (
     NORM_TOLERANCE,
+    Register,
     RegisterLayout,
     StateVector,
     apply_control_rotations,
@@ -1598,3 +1599,86 @@ class TestSplitKernels:
                 for (name, _), a, b in zip(calls, repeat, want):
                     with check(name):
                         assert_same_result(a, b)
+
+
+def signed_state(layout, seed, mode):
+    """A random state whose amplitudes hold signed zeros in either part.
+
+    A sparse state keeps only its nonzero amplitudes, so there a zero part
+    sits beside a nonzero one; a dense state also holds whole zeros of
+    either sign.
+    """
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(layout.dim, size=int(rng.integers(1, layout.dim + 1)), replace=False)
+    parts = rng.normal(size=(idx.size, 2))
+    zeros = rng.random(size=parts.shape) < 0.3
+    parts[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    parts[0, 0] = 1.0  # so the state is never all zero
+    parts /= np.linalg.norm(parts)  # a real division keeps the signs of zeros
+    return StateVector.from_arrays(layout, idx, parts.view(np.complex128)[:, 0], mode)
+
+
+class TestOneRulePerGate:
+    # apply_hadamard shares _butterfly with the control-rotation kernel, and
+    # measure_qubit and collapse_qubit are the register rules on one qubit,
+    # so the kernel's comparison with the gate sequence no longer checks the
+    # Hadamard's arithmetic apart: these tests check each rule against its
+    # formula or its register form.
+
+    @PROPERTY
+    @given(any_order_layouts(2), seeds, st.sampled_from(["sparse", "dense"]))
+    @example(RegisterLayout.memory_only(1), 0, "dense")
+    def test_hadamard_is_the_pair_formula_bit_for_bit(self, layout, seed, mode):
+        state = signed_state(layout, seed, mode)
+        qubit = seed % layout.total_qubits
+        vector = dense_vector(state)
+        low = np.flatnonzero(((np.arange(layout.dim) >> qubit) & 1) == 0)
+        high = low | (1 << qubit)
+        want = np.empty(layout.dim, dtype=np.complex128)
+        want[low] = (vector[low] + vector[high]) * SQ2
+        want[high] = (vector[low] - vector[high]) * SQ2
+        got = apply_hadamard(state, qubit)
+        if mode == "dense":
+            assert_same_bits(got._amps, want)
+        else:
+            keep = want != 0
+            assert np.array_equal(got._idx, np.flatnonzero(keep))
+            assert_same_bits(got._amps, want[keep])
+
+    @PROPERTY
+    @given(any_order_layouts(2), seeds, st.sampled_from(["sparse", "dense"]))
+    def test_measure_qubit_is_a_one_qubit_measure_register(self, layout, seed, mode):
+        state = random_state(layout, seed, mode)
+        qubit = seed % layout.total_qubits
+        bit, got = measure_qubit(state, qubit, np.random.default_rng(seed))
+        word, want = measure_register(
+            state, Register("q", 1, qubit), np.random.default_rng(seed)
+        )
+        assert bit == int(word)
+        assert got.mode == want.mode == mode
+        if mode == "sparse":
+            assert np.array_equal(got._idx, want._idx)
+        assert_same_bits(got._amps, want._amps)
+
+    @PROPERTY
+    @given(layouts, seeds)
+    def test_sparse_reflection_about_a_wider_axis(self, layout, seed):
+        # The state's support is a strict subset of the axis support, so the
+        # reflection aligns the two before it combines them.
+        axis = random_state(layout, seed, size=layout.dim)
+        state = random_state(layout, seed + 1, size=1 + seed % (layout.dim - 1))
+        got = reflect_about_state(state, axis)
+        a, s = dense_vector(axis), dense_vector(state)
+        want = 2 * np.vdot(a, s) * a - s
+        assert np.allclose(dense_vector(got), want, rtol=0, atol=1e-13)
+        assert all(amp != 0 for _, amp in got.items())
+
+    @pytest.mark.parametrize("mode", ["sparse", "dense"])
+    @pytest.mark.parametrize("value", [4, -1])
+    def test_collapse_refuses_a_value_outside_the_register(self, mode, value):
+        layout = RegisterLayout.retrieval(2, 2)
+        state = random_state(layout, 3, mode, size=layout.dim)
+        with pytest.raises(ValueError, match=f"^register 'control' holds no value {value}$"):
+            collapse_register(state, "control", value)
+        with pytest.raises(ValueError, match=f"^register 'qubit 2' holds no value {value}$"):
+            collapse_qubit(state, 2, value)
