@@ -68,6 +68,11 @@ MAX_TABLE_B = 4096
 # state at the amplitude cap; the per-shot replay takes microseconds a shot.
 MAX_SHOTS = 2**24
 
+# The largest retrieve round budget: each round is kept and reported, at
+# 70-100 us and about 200 report bytes a round on a small memory, so 2^16
+# failing rounds take 5-7 s and print 13 MB.
+MAX_ROUNDS = 2**16
+
 
 def _dumps(value, indent: str = "\n") -> str:
     """json.dumps(value, sort_keys=True, indent=2) of a report value, in one pass.
@@ -170,14 +175,20 @@ _positive_int = _int_at_least(1, "positive")
 _nonnegative_int = _int_at_least(0, "non-negative")
 
 
-def _shot_count(text: str) -> int:
-    """A positive shot count of at most MAX_SHOTS."""
-    shots = _positive_int(text)
-    if shots > MAX_SHOTS:
-        raise argparse.ArgumentTypeError(
-            f"shots may be at most {MAX_SHOTS}, got {text!r}"
-        )
-    return shots
+def _count_at_most(most: int, name: str):
+    """argparse type for a positive count of at most most, named name in its error."""
+
+    def convert(text: str) -> int:
+        count = _positive_int(text)
+        if count > most:
+            raise argparse.ArgumentTypeError(f"{name} may be at most {most}, got {text!r}")
+        return count
+
+    return convert
+
+
+_shot_count = _count_at_most(MAX_SHOTS, "shots")
+_round_count = _count_at_most(MAX_ROUNDS, "retries")
 
 
 def _refusing_type(parse):
@@ -348,7 +359,10 @@ def cmd_complexity(args) -> tuple[dict, dict, list[dict]]:
         input_pattern = _parse_input(args.input)
         # Only the exponent changes with b, so the distances are computed once.
         distances = law_distances(input_pattern, patterns)
-        retrievable_mass(input_pattern, patterns, args.b_range[0], distances)  # zero-mass guard
+        # At b = 1 the mass is 0 only when every pattern lies at distance n,
+        # so the guard neither underflows nor depends on the table's first b;
+        # a b whose weights underflow prints an infinite cost.
+        retrievable_mass(input_pattern, patterns, 1, distances)
     rows = []
     for b in args.b_range:
         if args.uniform:
@@ -422,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if with_retries:
             p.add_argument(
-                "--retries", type=_positive_int, default=5, help="round budget"
+                "--retries", type=_round_count, default=5, help="round budget"
             )
         p.add_argument("--mode", choices=("sparse", "dense"), default="sparse")
         p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SingularOverlapError
 from .patterns import PatternSet, check_width, mirror_set
-from .statevector import NORM_TOLERANCE, RegisterLayout, StateVector, _vdot
+from .statevector import RegisterLayout, StateVector
 
 GRAM_TOLERANCE = 1e-10
 
@@ -49,7 +49,7 @@ class GramCheck:
 
 @dataclass(frozen=True)
 class CloneResult:
-    """Cloning-map image plus its pre-normalization norm."""
+    """Cloning-map image plus its norm, as the built state computes it."""
 
     state: StateVector
     norm: float
@@ -198,9 +198,9 @@ def apply_clone(
     source "mirror" maps to sqrt(gamma_bar)|Mbar>|Mbar>|0> + sqrt(gamma)|Mbar>|M>|1>.
 
     The construction is performed even when no unitary extension exists,
-    so the feasibility boundary can be studied directly. The actual norm
-    is computed and reported; a norm off 1 raises instead of being
-    silently renormalized.
+    so the feasibility boundary can be studied directly. The weights are
+    checked by check_branch_weights and the state is never renormalized
+    (from_arrays refuses a norm off 1); the built state's norm is reported.
     """
     check_branch_weights(gamma, gamma_bar)
     if layout is None:
@@ -208,7 +208,7 @@ def apply_clone(
     master, copy_reg, anc = layout.memory, layout.register("copy"), layout.ancilla
     check_width(patterns.n, memory=master.width, copy=copy_reg.width)
     stored = np.array(patterns.values, dtype=np.int64)
-    mirrored = stored ^ ((1 << patterns.n) - 1)
+    mirrored = np.array(mirror_set(patterns).values, dtype=np.int64)
     if source == "memory":
         first, weights, copies = stored, (gamma, gamma_bar), (stored, mirrored)
     elif source == "mirror":
@@ -225,11 +225,5 @@ def apply_clone(
         | (np.stack(copies)[:, None, :] << copy_reg.offset)
     )
     amps = np.repeat(np.sqrt(weights) / patterns.p, patterns.p**2)
-    norm = math.sqrt(_vdot(amps, amps).real)
-    if abs(norm - 1.0) > NORM_TOLERANCE:
-        raise ValueError(
-            f"cloning construction has norm {norm!r}; refusing to renormalize"
-        )
-    return CloneResult(
-        state=StateVector.from_arrays(layout, indices, amps, mode=mode), norm=norm
-    )
+    state = StateVector.from_arrays(layout, indices, amps, mode=mode)
+    return CloneResult(state=state, norm=state.norm())

@@ -7,7 +7,9 @@ the little-endian order of basis indices, so a pattern shifted by a
 register's offset is that register's part of a basis index. A PatternSet
 is n plus its words (PatternSet.values, a tuple of ints in file order);
 BitPattern values are built only when the set is iterated. This module
-alone converts between bit strings and words. Pattern files are UTF-8
+alone converts between bit strings and words (the state engine returns
+register values as ints), and alone codes the mirror rule: the state
+builders take mirrored words from mirror_set. Pattern files are UTF-8
 text with one pattern per line; blank lines and lines whose first
 non-blank character is '#' are ignored, and a '#' after a pattern is a
 non-binary character. Duplicate patterns are rejected rather than silently

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DimensionError, InfeasibleCloningError, ZeroMassError
 from .memory import check_branch_weights, memory_overlap, solve_efficiencies
-from .patterns import BitPattern, PatternSet, check_width
+from .patterns import BitPattern, PatternSet, check_width, mirror_set
 from .statevector import (
     MAX_AMP_UPDATES,
     MAX_AMPLITUDES,
@@ -268,11 +268,11 @@ def prepare_initial(
     check_width(patterns.n, input=input_pattern.n, memory=mem.width)
     p = patterns.p
     amplitudes = np.repeat(_branch_amplitudes(gamma, gamma_bar, p), p)
-    words = np.array(patterns.values, dtype=np.int64) << mem.offset
-    mirrored = (words ^ mem.mask) | (1 << anc.offset)
-    return StateVector.from_arrays(
-        layout, np.concatenate((words, mirrored)), amplitudes, mode=mode
-    )
+    # The stored words on ancilla 0, then their mirrors on ancilla 1.
+    words = np.array(patterns.values + mirror_set(patterns).values, dtype=np.int64)
+    words <<= mem.offset
+    words[p:] |= 1 << anc.offset
+    return StateVector.from_arrays(layout, words, amplitudes, mode=mode)
 
 
 def apply_difference_encoding(
@@ -371,9 +371,10 @@ def analytic_distribution(
     """
     if b < 0:
         raise ValueError("b must be nonnegative")
-    weights = _law_weights(input_pattern, patterns, b)
+    distances = law_distances(input_pattern, patterns)
+    weights = _law_weights(input_pattern, patterns, b, distances)
     unnormalized = {q: w / patterns.p for q, w in zip(patterns, weights)}
-    good_mass = _good_mass(unnormalized.values())
+    good_mass = _good_mass(unnormalized.values(), distances, patterns.n, b)
     conditional = {q: w / good_mass for q, w in unnormalized.items()}
     return AnalyticDistribution(unnormalized, conditional, good_mass)
 
@@ -388,17 +389,29 @@ def retrievable_mass(
 
     distances, when given, is law_distances(input_pattern, patterns).
     """
+    if distances is None:
+        distances = law_distances(input_pattern, patterns)
     weights = _law_weights(input_pattern, patterns, b, distances)
-    return _good_mass(w / patterns.p for w in weights)
+    return _good_mass((w / patterns.p for w in weights), distances, patterns.n, b)
 
 
-def _good_mass(masses) -> float:
-    """The sum of the per-pattern good masses w / p; ZeroMassError when it is 0."""
+def _good_mass(masses, distances: Sequence[int], n: int, b: int) -> float:
+    """The sum of the per-pattern good masses w / p; ZeroMassError when it is 0.
+
+    The sum is 0 when every stored pattern lies at distance n, or when every
+    cos^{2b}(pi d / 2n) falls below the smallest double at this b; the
+    error says which.
+    """
     good_mass = sum(masses)
     if good_mass == 0.0:
+        if all(d == n for d in distances):
+            raise ZeroMassError(
+                "every stored pattern is at maximal distance from the input;"
+                " retrieval is impossible"
+            )
         raise ZeroMassError(
-            "every stored pattern is at maximal distance from the input;"
-            " retrieval is impossible"
+            f"the retrievable mass underflows to 0 at b = {b}: every weight"
+            " cos^(2b)(pi d / 2n) is below the smallest double"
         )
     return good_mass
 
@@ -521,8 +534,8 @@ def _read_out(
     built, since nothing reads it.
     """
     control, mem = state.layout.control, state.layout.memory
-    word, state = measure_register(state, control, rng)
-    if BitPattern.from_string(word).value != good_control(control, branch):
+    value, state = measure_register(state, control, rng)
+    if value != good_control(control, branch):
         return False, None, None
     raw = BitPattern(register_law(state, mem).draw(rng.random()), mem.width)
     return True, raw, _corrected(raw, branch)

@@ -20,11 +20,12 @@ array), at most 24 qubits, and is written separately, as the reference
 that sparse results are cross-validated against; both modes implement
 every operation and agree amplitude-by-amplitude. Each dense kernel
 reshapes the vector so that the qubit or register it acts on is one axis,
-then swaps, combines, scales or sums along that axis. flip_bits treats the
-bits from the lowest to the highest flipped qubit as one axis and flips
-them with one gather along it, which moves the blocks below the lowest
-flipped qubit whole; its index array has one entry per value of that axis,
-so only a mask that spans every qubit builds one per basis state.
+then swaps, combines, scales or sums along that axis. flip_bits and
+apply_xor are one permutation kernel (_take_rows): it treats the bits
+from the lowest to the highest qubit the gate moves as one axis and
+permutes them with one gather along it, which moves the blocks below the
+lowest such qubit whole; its index array has one entry per value of that
+axis, so only a gate that spans every qubit builds one per basis state.
 
 A sparse selection (projection, masses, the good-subspace reflection,
 register_law) takes the same entries in the same order whether _selection
@@ -39,10 +40,11 @@ and updates it in place rather than combining full-size intermediate
 arrays.
 
 Every measurement, of a qubit or of a register, draws by register_law:
-one draw from the register's law and a projection onto the value drawn
-(measure_qubit is measure_register on a one-qubit register). A caller that
-draws many times from one state builds its law once, as lists
-(RegisterLaw.as_lists).
+one draw from the register's law and a projection onto the value drawn,
+and returns the register value as an int (measure_qubit is
+measure_register on a one-qubit register); turning a value into a pattern
+string is the patterns module's business. A caller that draws many times
+from one state builds its law once, as lists (RegisterLaw.as_lists).
 
 The control rotations run one kernel in both modes; its output equals
 that mode's own gate sequence (Hadamard, apply_hamming_phase, Hadamard)
@@ -67,12 +69,12 @@ entries and the process may run on two CPUs: the upper half on a thread
 started for the call, which is joined before the kernel goes on. They
 are the reflections, the good-subspace copy, the dense projection, the
 control rotations (split along the leading axis of their row view, so a
-retrieval state's two branches rotate apart), the dense flip_bits, the
-dense support scan of arrays() and support_size, and the squared
-magnitudes of the dense register_law. Each element goes through the same
-operations either way, so no result depends on the split. The thread
-writes only into arrays the calling thread allocated, which keeps large
-buffers out of a second malloc arena. 2**19 lies above the crossover,
+retrieval state's two branches rotate apart), the dense flip_bits and
+apply_xor, the dense support scan of arrays() and support_size, and the
+squared magnitudes of the dense register_law. Each element goes through
+the same operations either way, so no result depends on the split. The
+thread writes only into arrays the calling thread allocated, which keeps
+large buffers out of a second malloc arena. 2**19 lies above the crossover,
 2**17 to 2**18 entries on two cores, where the thread's start and join
 (about 60 us) cost what half a pass saves; on one CPU the two halves
 would only take turns.
@@ -100,7 +102,6 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .patterns import BitPattern
 
 NORM_TOLERANCE = 1e-10
 _MAX_DENSE_QUBITS = 24
@@ -670,12 +671,20 @@ def flip_bits(state: StateVector, mask: int) -> StateVector:
     if state.mode == "sparse":
         flipped = _flipped_rows(state, mask)
         return _permuted(state, mask) if flipped is None else flipped
-    # The middle axis of _blocks holds the bits from low up to the mask's
-    # highest bit; output row v is input row v ^ (mask >> low).
+    # The rows run over the bits from the mask's lowest to its highest bit.
     low = max((mask & -mask).bit_length() - 1, 0)
     width = mask.bit_length() - low
+    return _take_rows(state, low, np.arange(1 << width) ^ (mask >> low))
+
+
+def _take_rows(state: StateVector, low: int, rows: np.ndarray) -> StateVector:
+    """A dense basis permutation on the bits low up: output row v is input row rows[v].
+
+    The rows are the middle axis of _blocks, over the len(rows) values of
+    the bits from low up, so the blocks below low move whole.
+    """
+    width = rows.size.bit_length() - 1
     src = _blocks(state._amps, low, width)
-    rows = np.arange(1 << width) ^ (mask >> low)
     out = np.empty_like(state._amps)
     blocks = _blocks(out, low, width)
     # mode="clip" writes straight into out; the default mode buffers it.
@@ -701,16 +710,13 @@ def apply_xor(state: StateVector, control: int, target: int) -> StateVector:
     if state.mode == "sparse":
         idx = state._idx
         return _permuted(state, ((idx >> control) & 1) << target)
-    # Axis 1 holds the higher of the two qubits, axis 3 the lower one.
-    lo, hi = sorted((control, target))
-    shape = (-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    src = state._amps.reshape(shape)
-    out = state._amps.copy()
-    if control == hi:
-        out.reshape(shape)[:, 1, :, :, :] = src[:, 1, :, ::-1, :]
-    else:
-        out.reshape(shape)[:, :, :, 1, :] = src[:, ::-1, :, 1, :]
-    return StateVector._wrap(state.layout, None, out)
+    # The rows run over the bits from the lower of the two qubits to the
+    # higher; row v is v with the target flipped where the control is set,
+    # written in place on the half of the rows whose control bit is 1.
+    lo = min(control, target)
+    rows = np.arange(1 << (max(control, target) - lo + 1))
+    rows.reshape(-1, 2, 1 << (control - lo))[:, 1] ^= 1 << (target - lo)
+    return _take_rows(state, lo, rows)
 
 
 def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
@@ -974,8 +980,7 @@ def measure_qubit(state: StateVector, qubit: int, rng) -> tuple[int, StateVector
 
     It is measure_register on a one-qubit register at that qubit.
     """
-    bit, collapsed = measure_register(state, _qubit(state, qubit), rng)
-    return int(bit), collapsed
+    return measure_register(state, _qubit(state, qubit), rng)
 
 
 class RegisterLaw(NamedTuple):
@@ -1052,18 +1057,17 @@ def collapse_register(
 
 def measure_register(
     state: StateVector, register: str | Register, rng
-) -> tuple[str, StateVector]:
+) -> tuple[int, StateVector]:
     """Born-rule measurement of a whole register: one draw from register_law.
 
-    Returns (bit string, collapsed state); the string is written with the
-    register's first qubit leftmost, matching the pattern convention. The
-    outcome is the register value, in increasing order, at which the
-    cumulative mass first exceeds one uniform draw.
+    Returns (register value, collapsed state); the register's first qubit
+    is the value's least significant bit. The outcome is the register
+    value, in increasing order, at which the cumulative mass first exceeds
+    one uniform draw.
     """
     reg = _register(state, register)
     chosen = register_law(state, reg).draw(rng.random())
-    _, collapsed = collapse_register(state, reg, chosen)
-    return str(BitPattern(chosen, reg.width)), collapsed
+    return chosen, collapse_register(state, reg, chosen)[1]
 
 
 def reflect_about_state(state: StateVector, axis: StateVector) -> StateVector:

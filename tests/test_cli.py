@@ -242,6 +242,24 @@ class TestRetrieveCommand:
             "retrieve", "--patterns", path, "--input", "000", "--b", "2"
         )
         assert result.returncode == 4
+        assert result.stderr.splitlines() == [
+            "error: every stored pattern is at maximal distance from the input;"
+            " retrieval is impossible"
+        ]
+
+    @pytest.mark.parametrize("command", ["distribution", "retrieve"])
+    def test_underflowing_mass_is_named_as_such(self, pattern_file, command):
+        # d = 2 < n = 3: cos^1200(pi / 3) = 2^-1200 is below the smallest
+        # double, so the mass is 0 although no pattern is at distance n.
+        path = pattern_file("110\n")
+        result = run_cli(
+            command, "--patterns", path, "--input", "000", "--b", "600"
+        )
+        assert result.returncode == 4
+        assert result.stderr.splitlines() == [
+            "error: the retrievable mass underflows to 0 at b = 600: every weight"
+            " cos^(2b)(pi d / 2n) is below the smallest double"
+        ]
 
     @pytest.mark.parametrize("command", ["distribution", "retrieve"])
     def test_zero_mass_is_found_before_infeasible_cloning(self, pattern_file, command):
@@ -555,6 +573,38 @@ class TestUsageErrors:
         assert peak < 64 * 1024  # the bulk sampler holds about 23 bytes a shot
         assert cli._shot_count(str(cli.MAX_SHOTS)) == cli.MAX_SHOTS
 
+    def test_huge_retries_are_refused_before_any_round(
+        self, pattern_file, capsys, monkeypatch
+    ):
+        # Every round over the memory 100 from input 000 fails (one fixed
+        # round takes P = 3/4 to mass 0), so an accepted budget would run
+        # to its end and keep a record per round.
+        path = pattern_file("100\n")
+        argv = ["retrieve", "--patterns", path, "--input", "000", "--b", "1",
+                "--amp-mode", "fixed:1", "--seed", "1", "--retries"]
+        parser = cli.build_parser()
+        assert parser.parse_args([*argv, str(cli.MAX_ROUNDS)]).retries == cli.MAX_ROUNDS
+
+        def no_round(*args, **kwargs):
+            raise AssertionError("a refused budget ran a round")
+
+        monkeypatch.setattr(cli, "run_retrieval", no_round)
+        for value in (str(cli.MAX_ROUNDS + 1), "1000000000000"):
+            tracemalloc.start()
+            try:
+                with pytest.raises(SystemExit) as usage:
+                    cli.main([*argv, value])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert usage.value.code == 2
+            errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+            assert errors == [
+                "mirrorqam retrieve: error: argument --retries:"
+                f" retries may be at most {cli.MAX_ROUNDS}, got {value!r}"
+            ]
+            assert peak < 64 * 1024
+
     def test_nan_branch_weight_is_a_parse_error(self, pattern_file):
         path = pattern_file("00\n01\n")
         result = run_cli(
@@ -633,6 +683,20 @@ class TestComplexityCommand:
             "complexity", "--patterns", path, "--input", "00", "--b-range", "1:3"
         )
         assert result.returncode == 4
+
+    def test_underflowing_row_does_not_depend_on_the_first_b(self, pattern_file):
+        # d = 2 < n = 3: the weight at b = 600 underflows to 0, which is an
+        # infinite cost, not a memory without retrievable mass.
+        path = pattern_file("110\n")
+        rows = []
+        for b_range in ("600", "500:600"):
+            result = run_cli(
+                "complexity", "--patterns", path, "--input", "000", "--b-range", b_range
+            )
+            assert result.returncode == 0, result.stderr
+            rows.append(json.loads(result.stdout)["results"]["table"][-1])
+        assert rows[0] == rows[1]
+        assert rows[0]["b"] == 600 and rows[0]["instance_cost"] == "inf"
 
     def test_csv_columns_stable(self, pattern_file):
         path = pattern_file("01\n")

@@ -694,11 +694,11 @@ def per_shot_replay(inp, patterns, config):
         if branch not in amplified:
             failed += 1
             continue
-        word, collapsed = measure_register(amplified[branch], "control", rng)
-        if word != str(branch) * len(word):
+        value, collapsed = measure_register(amplified[branch], "control", rng)
+        if value != branch * ((1 << config.b) - 1):  # every control qubit reads branch
             failed += 1
             continue
-        raw = bp(measure_register(collapsed, "memory", rng)[0])
+        raw = BitPattern(measure_register(collapsed, "memory", rng)[0], patterns.n)
         counts[branch][raw.mirror() if branch else raw] += 1
     total = counts[0] + counts[1]
     successes = sum(total.values())

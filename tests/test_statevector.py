@@ -305,20 +305,20 @@ class TestMeasurement:
         assert after.support_size == 1
 
     def test_measure_register_on_bell(self, rng):
-        counts = {"00": 0, "11": 0}
+        counts = {0b00: 0, 0b11: 0}
         for _ in range(2000):
-            word, _ = measure_register(bell(), "memory", rng)
-            counts[word] += 1
-        assert counts["00"] + counts["11"] == 2000
-        assert abs(counts["00"] / 2000 - 0.5) < 0.05
+            value, _ = measure_register(bell(), "memory", rng)
+            counts[value] += 1
+        assert counts[0b00] + counts[0b11] == 2000
+        assert abs(counts[0b00] / 2000 - 0.5) < 0.05
 
     def test_measure_register_deterministic_on_basis_state(self, rng):
         lay = RegisterLayout.memory_only(3)
         st = StateVector.basis_state(lay, 0b101)
-        word, after = measure_register(st, "memory", rng)
-        assert word == "101"
+        value, after = measure_register(st, "memory", rng)
+        assert type(value) is int and value == 0b101
         repeat, _ = measure_register(after, "memory", rng)
-        assert repeat == word
+        assert repeat == value
 
     def test_collapse_qubit_probability(self):
         prob, after = collapse_qubit(bell(), 0, 1)
@@ -658,14 +658,13 @@ class TestEngineProperties:
             rng = np.random.default_rng(seed)
             counts = {}
             for _ in range(shots):
-                word, after = measure_register(state, reg, rng)
-                counts[word] = counts.get(word, 0) + 1
+                value, after = measure_register(state, reg, rng)
+                counts[value] = counts.get(value, 0) + 1
             assert abs(after.norm() - 1.0) < NORM_TOLERANCE
             for value in range(1 << reg.width):
-                word = "".join(str((value >> j) & 1) for j in range(reg.width))
                 mass = subspace_mass(sparse, reg.mask, value << reg.offset)
                 sigma = math.sqrt(max(mass * (1 - mass), 0.0) / shots)
-                assert abs(counts.get(word, 0) / shots - mass) <= 5 * sigma + 1e-9
+                assert abs(counts.get(value, 0) / shots - mass) <= 5 * sigma + 1e-9
 
 
 # The dense kernels judged against explicit 2^N x 2^N operators: Kronecker
@@ -811,8 +810,7 @@ class TestDenseAgainstOperators:
     def test_register_measurement_projects_onto_the_outcome(self, layout, seed, name):
         state = random_state(layout, seed, "dense")
         reg = layout.register(name)
-        word, got = measure_register(state, reg, np.random.default_rng(seed))
-        value = sum(1 << j for j, c in enumerate(word) if c == "1")
+        value, got = measure_register(state, reg, np.random.default_rng(seed))
         kept = register_projector(layout, reg, value) @ dense_vector(state)
         expect = kept / np.linalg.norm(kept)
         assert np.max(np.abs(dense_vector(got) - expect)) <= 1e-12
@@ -1442,6 +1440,11 @@ def split_kernel_calls(state, axis, seed):
         calls.append((f"good {branch}", lambda b=branch: reflect_good_subspace(state, b)))
     for mask in {1 << (total - 1), layout.memory.mask, int(rng.integers(layout.dim))}:
         calls.append((f"flip {mask:#x}", lambda m=mask: flip_bits(state, m)))
+    # Dense apply_xor is flip_bits's permutation kernel on other rows; the
+    # first two pairs stay below the top qubit, so their dense passes split.
+    drawn = tuple(int(q) for q in rng.choice(total, 2, replace=False))
+    for c, t in ((0, 1), (total - 2, 0), drawn):
+        calls.append((f"xor {c}->{t}", lambda c=c, t=t: apply_xor(state, c, t)))
     for reg in layout.registers:
         calls.append((f"law {reg.name}", lambda r=reg: register_law(state, r)))
         law = register_law(state, reg)
