@@ -64,7 +64,7 @@ _encode_key = json.encoder.encode_basestring_ascii
 MAX_TABLE_B = 4096
 
 # The most shots a distribution run takes: the bulk sampler holds about
-# 23 bytes per shot at its peak, so 2^24 shots stay near 0.4 GB, below a
+# 9 bytes per shot at its peak, so 2^24 shots stay near 0.15 GB, below a
 # state at the amplitude cap; the per-shot replay takes microseconds a shot.
 MAX_SHOTS = 2**24
 

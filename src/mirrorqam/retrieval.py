@@ -44,6 +44,7 @@ from .statevector import (
     MAX_AMPLITUDES,
     RegisterLayout,
     StateVector,
+    _selection,
     apply_control_rotations,
     collapse_qubit,
     collapse_register,
@@ -605,21 +606,25 @@ def run_retrieval(
     return RetrievalRun(None, tuple(rounds), max_rounds)
 
 
-def _choice_draws(rng, probs: np.ndarray, count: int) -> np.ndarray:
-    """rng.choice(probs.size, size=count, p=probs / probs.sum()), in ascending order.
+def _edge_counts(rng, probs: np.ndarray, positions: np.ndarray, count: int):
+    """Per ascending position, how many of count choice draws land on it.
 
-    The same cdf and the same uniforms as choice, so the same draws; only
-    their counts are read. The uniforms are sorted before the binary
-    search, which then walks the cdf in order instead of at random.
+    rng.choice(probs.size, size=count, p=probs / probs.sum()) draws
+    position j for a uniform u with cdf[j-1] <= u < cdf[j], on the cdf
+    divided by its last entry, so j's count is #{u < cdf[j]} -
+    #{u < cdf[j-1]}: two binary searches among the sorted uniforms. The
+    same cdf and the same uniforms as choice, so the same counts; only the
+    edges at positions are divided.
     """
     # The cdf and the uniforms die on return, as choice's do: held through
     # the caller's loop, they moved later full-size dense arrays in the
     # heap and doubled the page faults of dense runs.
     cdf = np.cumsum(probs / probs.sum())
-    cdf /= cdf[-1]
+    ends = cdf[positions] / cdf[-1]
+    starts = np.where(positions > 0, cdf[positions - 1], 0.0) / cdf[-1]
     uniforms = rng.random(count)
     uniforms.sort()
-    return cdf.searchsorted(uniforms, side="right")
+    return uniforms.searchsorted(ends) - uniforms.searchsorted(starts)
 
 
 def _frequencies(counter: Counter) -> dict:
@@ -644,15 +649,21 @@ def simulate_distribution(
     below gamma_bar. Each branch starts from _branch_start, as a retrieve
     round does; a branch absent from the pipeline state is not amplified,
     and a shot drawn onto it is a failed round, as such a retrieve round
-    is. The default path draws all outcomes in bulk. strict mode replays retrieve
-    shot by shot, draw for draw: the same rng order (branch, control, then
-    memory after a good control outcome) and the same outcomes as
-    retrieve, but it builds each branch's control and memory laws once
-    (register_law, as lists) and spends one bisection per draw; it exists
-    to reproduce golden files.
+    is. The default path draws all outcomes in bulk: one uniform per shot
+    for its branch, then per branch the counts that rng.choice over the
+    amplified support would draw at each good-control entry, found from
+    the cdf edges of those entries among the sorted uniforms
+    (_edge_counts); the branch's other shots are failed rounds. strict
+    mode replays retrieve shot by shot, draw for draw: the same rng order
+    (branch, control, then memory after a good control outcome) and the
+    same outcomes as retrieve, but it builds each branch's control and
+    memory laws once (register_law, as lists) and spends one bisection per
+    draw; it exists to reproduce golden files.
     Both paths count memory values per branch (strict in first-draw
-    order, bulk in ascending order); the total variation distance is an
-    exactly rounded math.fsum, so it does not depend on set order.
+    order, bulk in ascending order) and key them by the law's own stored
+    patterns, a branch-1 value by its mirror. The total variation distance
+    is an exactly rounded math.fsum over the law's patterns, so it does
+    not depend on set order.
     """
     analytic = analytic_distribution(input_pattern, patterns, config.b)
     gamma_bar, state = _weighted_pipeline(input_pattern, patterns, config)
@@ -701,34 +712,41 @@ def simulate_distribution(
                 memory_law[branch] = register_law(projected, mem).as_lists()
             value_counts[branch][memory_law[branch].draw(rng.random())] += 1
     else:
-        branches = rng.random(config.shots) < gamma_bar
-        for branch in (0, 1):
-            count = int(np.count_nonzero(branches == branch))
+        ones = int(np.count_nonzero(rng.random(config.shots) < gamma_bar))
+        for branch, count in enumerate((config.shots - ones, ones)):
             branch_shots[branch] = count
             if count == 0 or branch not in branch_states:
                 failed += count  # every shot onto an absent branch fails
                 continue
             indices, amps = branch_states[branch].arrays()
-            probs = np.abs(amps) ** 2
-            draws = indices[_choice_draws(rng, probs, count)]
-            target = good_control(control, branch) << control.offset
-            good = (draws & control.mask) == target
-            failed += int(np.sum(~good))
-            memory_values = (draws[good] & mem.mask) >> mem.offset
-            values, counts = np.unique(memory_values, return_counts=True)
-            value_counts[branch].update(dict(zip(values.tolist(), counts.tolist())))
+            run = _selection(
+                indices, control.mask, good_control(control, branch) << control.offset
+            )
+            if isinstance(run, slice):
+                run = np.arange(run.start, run.stop)
+            else:
+                run = np.flatnonzero(run)
+            counts = _edge_counts(rng, np.abs(amps) ** 2, run, count)
+            failed += count - int(counts.sum())
+            hit = counts > 0
+            values = (indices[run[hit]] & mem.mask) >> mem.offset
+            value_counts[branch].update(dict(zip(values.tolist(), counts[hit].tolist())))
 
+    # Each memory value read on a branch stands for one stored pattern of
+    # the law: itself on branch 0, its mirror on branch 1.
+    law = list(analytic.conditional)
+    keys = {
+        0: dict(zip(patterns.values, law)),
+        1: dict(zip(mirror_set(patterns).values, law)),
+    }
     branch_counts = {
-        branch: Counter(
-            {_corrected(BitPattern(v, mem.width), branch): c for v, c in counter.items()}
-        )
+        branch: Counter({keys[branch][v]: c for v, c in counter.items()})
         for branch, counter in value_counts.items()
     }
     success_counts = branch_counts[0] + branch_counts[1]
     empirical = _frequencies(success_counts)
-    support = set(analytic.conditional) | set(empirical)
     tv = 0.5 * math.fsum(
-        abs(empirical.get(q, 0.0) - analytic.conditional.get(q, 0.0)) for q in support
+        abs(empirical.get(q, 0.0) - w) for q, w in analytic.conditional.items()
     )
     return DistributionReport(
         analytic_unnormalized=analytic.unnormalized,

@@ -570,7 +570,7 @@ class TestUsageErrors:
             "mirrorqam distribution: error: argument --shots:"
             f" shots may be at most {cli.MAX_SHOTS}, got '1000000000000'"
         ]
-        assert peak < 64 * 1024  # the bulk sampler holds about 23 bytes a shot
+        assert peak < 64 * 1024  # the bulk sampler holds about 9 bytes a shot
         assert cli._shot_count(str(cli.MAX_SHOTS)) == cli.MAX_SHOTS
 
     def test_huge_retries_are_refused_before_any_round(

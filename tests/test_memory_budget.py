@@ -10,7 +10,10 @@ the budget holds a gate's input, its output and a half-size scratch,
 which leaves no room for a second full-size temporary. Every test runs
 twice: with each pass on one thread, and with every pass split over two
 (statevector._split), whose thread writes only into arrays the calling
-thread allocated, so the budgets are the same.
+thread allocated, so the budgets are the same. The bulk sampler's budget
+is bytes per shot, on a memory so small that its states weigh nothing:
+each shot's branch draw (a uniform, then a bool) and the sorted uniforms
+of one branch, about 9 B a shot.
 """
 
 import tracemalloc
@@ -37,6 +40,8 @@ RETRIEVAL_BYTES_PER_AMPLITUDE = 74
 DENSE_N, DENSE_P, DENSE_B = 10, 64, 6
 BASIS_STATES = 1 << (DENSE_N + DENSE_B + 1)  # memory, control and ancilla qubits
 DENSE_BYTES_PER_BASIS_STATE = 48
+SHOTS = 1 << 20
+BYTES_PER_SHOT = 10
 
 
 def random_instance(n, p):
@@ -118,3 +123,11 @@ def test_dense_pipeline_peak_per_basis_state():
 
     assert call().layout.dim == BASIS_STATES
     assert traced_peak(call) / BASIS_STATES <= DENSE_BYTES_PER_BASIS_STATE
+
+
+def test_bulk_distribution_peak_per_shot():
+    input_pattern = BitPattern.from_string("000")
+    patterns = PatternSet.from_strings(["100", "010"])
+    config = RetrievalConfig(2, GammaMode.fixed(0.5), shots=SHOTS, seed=1)
+    peak = traced_peak(lambda: simulate_distribution(input_pattern, patterns, config))
+    assert peak / SHOTS <= BYTES_PER_SHOT

@@ -2,6 +2,7 @@ import math
 import re
 import sys
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -604,10 +605,10 @@ class TestSimulateDistribution:
         config = RetrievalConfig(
             b=8, gamma_mode=GammaMode.fixed(0.5), shots=30_000, seed=31
         )
-        want, sizes = choice_counts(inp, patterns, config)
-        assert min(sizes) >= 100_000
+        want = choice_counts(inp, patterns, config)
+        assert min(want.sizes) >= 100_000
         report = simulate_distribution(inp, patterns, config)
-        assert report.empirical_count == want
+        assert report.empirical_count == want.counts
 
     @pytest.mark.parametrize("mode", ["sparse", "dense"])
     def test_retrieve_and_strict_replay_draw_the_branch_alike(self, mode):
@@ -627,44 +628,13 @@ class TestSimulateDistribution:
         assert report.branch_shots == {0: 1, 1: 0}
 
 
-def choice_counts(inp, patterns, config):
-    """The bulk path's per-pattern counts, drawn by Generator.choice.
+def amplified_branches(inp, patterns, config):
+    """(gamma_bar, {branch: amplified state}) over the branches present.
 
-    Per branch, in branch order: the branch's share of one uniform per shot
-    below gamma_bar, then rng.choice over the amplified branch state's
-    support with its Born masses, as the bulk path drew before it sorted
-    its uniforms. Returns the counts and the branch support sizes.
+    Per branch, gate by gate: collapse the pipeline state onto it, then
+    amplify with the config's iteration count, taken on round 0. A branch
+    whose amplitudes are all 0 is absent: not collapsed.
     """
-    gamma, gamma_bar = resolve_gamma(config.gamma_mode, patterns)
-    state = run_pipeline(inp, patterns, gamma, gamma_bar, config.b)
-    layout = state.layout
-    rng = np.random.default_rng(config.seed)
-    branches = rng.random(config.shots) < gamma_bar
-    counts, sizes = Counter(), []
-    for branch in (0, 1):
-        start = collapse_qubit(state, layout.ancilla.offset, branch)[1]
-        k = optimal_iterations(good_subspace_probability(start, branch))
-        idx, amps = amplitude_amplify(start, branch, k).arrays()
-        sizes.append(idx.size)
-        probs = np.abs(amps) ** 2
-        count = int(np.count_nonzero(branches == branch))
-        draws = idx[rng.choice(idx.size, size=count, p=probs / probs.sum())]
-        good = (draws & layout.control.mask) == (layout.control.mask if branch else 0)
-        for value in ((draws[good] & layout.memory.mask) >> layout.memory.offset).tolist():
-            raw = BitPattern(value, patterns.n)
-            counts[raw.mirror() if branch else raw] += 1
-    return dict(counts), sizes
-
-
-def per_shot_replay(inp, patterns, config):
-    """The strict replay as one measure_register call per readout.
-
-    Per shot: one draw for the branch, a control measurement of the
-    branch's amplified state and, after a good control outcome, a memory
-    measurement of the collapsed state. The report fields are assembled
-    as simulate_distribution assembles them, the TV sum included.
-    """
-    analytic = analytic_distribution(inp, patterns, config.b)
     gamma, gamma_bar = resolve_gamma(config.gamma_mode, patterns)
     state = run_pipeline(
         inp, patterns, gamma, gamma_bar, config.b, config.representation
@@ -672,7 +642,6 @@ def per_shot_replay(inp, patterns, config):
     amplified = {}
     ancilla = state.layout.ancilla.offset
     for branch in (0, 1):
-        # A branch whose amplitudes are all 0 is absent: not collapsed.
         if probability_of_subspace(state, lambda i: (i >> ancilla) & 1 == branch):
             start = collapse_qubit(state, ancilla, branch)[1]
             p_good = good_subspace_probability(start, branch)
@@ -684,6 +653,74 @@ def per_shot_replay(inp, patterns, config):
             else:
                 k = amp.k
             amplified[branch] = amplitude_amplify(start, branch, k)
+    return gamma_bar, amplified
+
+
+def fsum_tv(conditional, counts):
+    """A report's TV: half the exactly rounded sum over both supports."""
+    successes = sum(counts.values())
+    empirical = {q: c / successes for q, c in counts.items()} if successes else {}
+    return 0.5 * math.fsum(
+        abs(empirical.get(q, 0.0) - conditional.get(q, 0.0))
+        for q in set(conditional) | set(empirical)
+    )
+
+
+class ChoiceCounts(NamedTuple):
+    counts: dict
+    successes_by_branch: dict
+    failed_rounds: int
+    tv: float
+    sizes: list
+
+
+def choice_counts(inp, patterns, config):
+    """The bulk path's counts, drawn by Generator.choice.
+
+    Per branch, in branch order: the branch's share of one uniform per shot
+    below gamma_bar, then rng.choice over the amplified branch state's
+    support with its Born masses, as the bulk path drew before it counted
+    its sorted uniforms between cdf edges. A shot whose draw misses the
+    good control value fails, and so does every shot onto an absent
+    branch, which draws nothing. sizes holds the support size of each
+    branch present.
+    """
+    analytic = analytic_distribution(inp, patterns, config.b)
+    gamma_bar, amplified = amplified_branches(inp, patterns, config)
+    rng = np.random.default_rng(config.seed)
+    branches = rng.random(config.shots) < gamma_bar
+    counts, failed, sizes = {0: Counter(), 1: Counter()}, 0, []
+    for branch in (0, 1):
+        count = int(np.count_nonzero(branches == branch))
+        if branch not in amplified:
+            failed += count
+            continue
+        layout = amplified[branch].layout
+        idx, amps = amplified[branch].arrays()
+        sizes.append(idx.size)
+        probs = np.abs(amps) ** 2
+        draws = idx[rng.choice(idx.size, size=count, p=probs / probs.sum())]
+        good = (draws & layout.control.mask) == (layout.control.mask if branch else 0)
+        failed += int(np.count_nonzero(~good))
+        for value in ((draws[good] & layout.memory.mask) >> layout.memory.offset).tolist():
+            raw = BitPattern(value, patterns.n)
+            counts[branch][raw.mirror() if branch else raw] += 1
+    total = counts[0] + counts[1]
+    by_branch = {branch: sum(c.values()) for branch, c in counts.items()}
+    tv = fsum_tv(analytic.conditional, total)
+    return ChoiceCounts(dict(total), by_branch, failed, tv, sizes)
+
+
+def per_shot_replay(inp, patterns, config):
+    """The strict replay as one measure_register call per readout.
+
+    Per shot: one draw for the branch, a control measurement of the
+    branch's amplified state and, after a good control outcome, a memory
+    measurement of the collapsed state. The report fields are assembled
+    as simulate_distribution assembles them, the TV sum included.
+    """
+    analytic = analytic_distribution(inp, patterns, config.b)
+    gamma_bar, amplified = amplified_branches(inp, patterns, config)
     rng = np.random.default_rng(config.seed)
     counts = {0: Counter(), 1: Counter()}
     branch_shots = {0: 0, 1: 0}
@@ -701,12 +738,7 @@ def per_shot_replay(inp, patterns, config):
         raw = BitPattern(measure_register(collapsed, "memory", rng)[0], patterns.n)
         counts[branch][raw.mirror() if branch else raw] += 1
     total = counts[0] + counts[1]
-    successes = sum(total.values())
-    empirical = {q: c / successes for q, c in total.items()} if successes else {}
-    tv = 0.5 * math.fsum(
-        abs(empirical.get(q, 0.0) - analytic.conditional.get(q, 0.0))
-        for q in set(analytic.conditional) | set(empirical)
-    )
+    tv = fsum_tv(analytic.conditional, total)
     by_branch = {branch: sum(c.values()) for branch, c in counts.items()}
     return dict(total), branch_shots, by_branch, failed, tv
 
@@ -769,6 +801,55 @@ class TestStrictExactness:
         assert report.successes_by_branch == by_branch
         assert report.failed_rounds == failed
         assert report.total_variation_distance.hex() == tv.hex()
+
+
+class TestBulkCounts:
+    """Bulk simulate_distribution counts what Generator.choice draws."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        memories(),
+        st.integers(1, 4),
+        st.sampled_from(["fixed:0", "fixed:1"])
+        | st.floats(0.0, 1.0).map(lambda g: f"fixed:{g!r}"),
+        st.sampled_from(["exact", "estimate"])
+        | st.integers(0, 4).map(lambda k: f"fixed:{k}"),
+        st.integers(1, 2000),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["sparse", "dense"]),
+    )
+    # Branch 0 alone: its good run opens the support (control value 0).
+    @example((("0011", "0101", "1110"), "0111"), 3, "fixed:1", "exact", 500, 5, "sparse")
+    # Branch 1 alone: its good run closes the support (every control 1).
+    @example((("0011", "0101", "1110"), "0111"), 3, "fixed:0", "exact", 500, 5, "dense")
+    # One round takes P = 3/4 to ~0 good mass: the good run gets no draws.
+    @example((("100",), "000"), 1, "fixed:1", "fixed:1", 50, 3, "sparse")
+    @example((("100",), "000"), 1, "fixed:0", "fixed:1", 50, 3, "dense")
+    def test_bulk_counts_equal_generator_choice(
+        self, memory, b, gamma, amp, shots, seed, mode
+    ):
+        words, input_word = memory
+        patterns, inp = ps(*words), bp(input_word)
+        config = RetrievalConfig(
+            b=b,
+            gamma_mode=GammaMode.parse(gamma),
+            amplification_mode=AmplificationMode.parse(amp),
+            shots=shots,
+            seed=seed,
+            representation=mode,
+        )
+        try:
+            want = choice_counts(inp, patterns, config)
+        except ValueError as exc:
+            # No retrievable mass: both paths refuse alike.
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                simulate_distribution(inp, patterns, config)
+            return
+        report = simulate_distribution(inp, patterns, config)
+        assert report.empirical_count == want.counts
+        assert report.successes_by_branch == want.successes_by_branch
+        assert report.failed_rounds == want.failed_rounds
+        assert report.total_variation_distance.hex() == want.tv.hex()
 
 
 class Draws:
